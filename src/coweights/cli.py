@@ -11,22 +11,27 @@ pmu      lattice points of the orbit hull sharing the central class
 verify   the projected set equality, one instance or a shape/weight grid
 sweep    verify plus the per-instance property bundle over a family grid
 
-Reports stream as newline-delimited JSON (``--format json`` for the small
-commands, always for ``verify``/``sweep``).  Output is byte-identical for
-identical inputs: records are emitted in grid order and timing is opt-in
-via ``--timing``.
+Reports are newline-delimited JSON (``--format json`` for the small
+commands, always for ``verify``/``sweep``).  A small command writes one
+record opening with ``schema, command, family, sector``; ``eta`` reports a
+failed precondition as ``precondition_failed`` with ``"ok": false``.
+``verify``/``sweep`` write each instance's record as soon as it is done, in
+grid order also with ``--jobs`` (at least 1), so output is byte-identical
+for identical inputs; timing is opt-in via ``--timing``.
 
 Exit codes: 0 all requested relations hold; 1 a mathematical verdict is
 false (or a reordering precondition fails); 2 usage or validation error;
-3 internal error or enumeration cap.
+3 enumeration cap or any unexpected internal error, reported on one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -55,9 +60,8 @@ from .oracle import (
     VerificationReport,
     dominant_coweights,
     enumerate_Pmu,
-    instance_property_failures,
+    run_instance,
     sweep_instances,
-    verify_main_theorem,
 )
 from .reorder import dominant_reordering
 
@@ -104,7 +108,7 @@ def _parse_rationals(text: str) -> tuple[Scalar, ...]:
         except ValueError:
             try:
                 out.append(Fraction(part))
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise ValueError(f"expected an integer or fraction, got {part!r}")
     return tuple(out)
 
@@ -138,14 +142,21 @@ def _class_json(cls) -> dict[str, Any]:
     }
 
 
+def _instance_json(shape: LeviShape, mu: Coweight) -> dict[str, Any]:
+    """The fields that open every per-instance record."""
+    return {
+        "schema": SCHEMA,
+        "family": shape.kind.family.value,
+        "rank": shape.kind.rank,
+        "sector": mu.sector.value,
+        "shape": str(shape),
+        "mu": list(mu.entries),
+    }
+
+
 def report_json(report: VerificationReport, timing: bool) -> dict[str, Any]:
     record: dict[str, Any] = {
-        "schema": SCHEMA,
-        "family": report.kind.family.value,
-        "rank": report.kind.rank,
-        "sector": report.mu.sector.value,
-        "shape": str(report.shape),
-        "mu": list(report.mu.entries),
+        **_instance_json(report.shape, report.mu),
         "lhs": [_class_json(c) for c in sorted(report.lhs_classes, key=lambda c: c.sort_key())],
         "rhs": [_class_json(c) for c in sorted(report.rhs_classes, key=lambda c: c.sort_key())],
         "equal": report.equal,
@@ -218,9 +229,12 @@ def _order_members(
     return members
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    family = _parse_family(args.family)
-    sector = _parse_sector(args.sector)
+# Each small command returns (JSON fields after the common header, text
+# lines, verdict); :func:`_emit` writes one or the other.
+Emitted = tuple[dict[str, Any], list[str], bool]
+
+
+def cmd_check(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
     mu = _coweight(family, _parse_ints(args.mu), sector)
     if not is_dominant(mu):
         raise ValueError(f"--mu {args.mu} is not dominant")
@@ -238,304 +252,235 @@ def cmd_check(args: argparse.Namespace) -> int:
     hull_ok = in_hull(x_vec, mu)
     ok = order_ok and hull_ok and class_match is not False
 
-    writer = _Writer(args.out)
-    if args.format == "json":
-        writer.record({
-            "schema": SCHEMA,
-            "command": "check",
-            "family": family.value,
-            "sector": sector.value,
-            "mu": list(mu.entries),
-            "x": [_scalar_json(e) for e in x_vec],
-            "inequalities": members,
-            "leq": order_ok,
-            "class_match": class_match,
-            "in_hull": hull_ok,
-            "ok": ok,
-        })
+    fields = {
+        "mu": list(mu.entries),
+        "x": [_scalar_json(e) for e in x_vec],
+        "inequalities": members,
+        "leq": order_ok,
+        "class_match": class_match,
+        "in_hull": hull_ok,
+        "ok": ok,
+    }
+    lines = [
+        f"ineq {m['label']}: {m['lhs']} {m['relation']} {m['rhs']}  "
+        f"{'ok' if m['ok'] else 'FAIL'}"
+        for m in members
+    ]
+    lines.append(f"leq: {'ok' if order_ok else 'FAIL'}")
+    if class_match is None:
+        lines.append("class: n/a (x is not a lattice point)")
     else:
-        for m in members:
-            status = "ok" if m["ok"] else "FAIL"
-            writer.line(
-                f"ineq {m['label']}: {m['lhs']} {m['relation']} {m['rhs']}  {status}"
-            )
-        writer.line(f"leq: {'ok' if order_ok else 'FAIL'}")
-        if class_match is None:
-            writer.line("class: n/a (x is not a lattice point)")
-        else:
-            writer.line(f"class: {'match' if class_match else 'MISMATCH'}")
-        writer.line(f"hull: {'member' if hull_ok else 'OUTSIDE'}")
-        writer.line(f"verdict: {'ok' if ok else 'false'}")
-    writer.close()
-    return EXIT_OK if ok else EXIT_FALSE
+        lines.append(f"class: {'match' if class_match else 'MISMATCH'}")
+    lines.append(f"hull: {'member' if hull_ok else 'OUTSIDE'}")
+    lines.append(f"verdict: {'ok' if ok else 'false'}")
+    return fields, lines, ok
 
 
-def cmd_class(args: argparse.Namespace) -> int:
-    family = _parse_family(args.family)
-    sector = _parse_sector(args.sector)
+def cmd_class(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
     x = _coweight(family, _parse_ints(args.x), sector)
     shape = _parse_shape(args.shape, x.kind)
     cls = class_of(shape, x)
-
-    writer = _Writer(args.out)
-    if args.format == "json":
-        writer.record({
-            "schema": SCHEMA,
-            "command": "class",
-            "family": family.value,
-            "sector": sector.value,
-            "shape": str(shape),
-            "x": list(x.entries),
-            **_class_json(cls),
-        })
-    else:
-        writer.line(f"sums: {','.join(str(s) for s in cls.batch_sums)}")
-        writer.line(f"so_class: {cls.so_class}")
-        writer.line(f"lift: {cls.canonical_lift}")
-    writer.close()
-    return EXIT_OK
+    fields = {"shape": str(shape), "x": list(x.entries), **_class_json(cls)}
+    lines = [
+        f"sums: {','.join(str(s) for s in cls.batch_sums)}",
+        f"so_class: {cls.so_class}",
+        f"lift: {cls.canonical_lift}",
+    ]
+    return fields, lines, True
 
 
-def cmd_project(args: argparse.Namespace) -> int:
-    family = _parse_family(args.family)
-    sector = _parse_sector(args.sector)
+def cmd_project(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
     x = _coweight(family, _parse_ints(args.x), sector)
     shape = _parse_shape(args.shape, x.kind)
     point = project(shape, x)
-
-    writer = _Writer(args.out)
-    if args.format == "json":
-        writer.record({
-            "schema": SCHEMA,
-            "command": "project",
-            "family": family.value,
-            "sector": sector.value,
-            "shape": str(shape),
-            "x": list(x.entries),
-            "averages": [str(a) for a in point.averages],
-            "expanded": [str(e) for e in point.expand()],
-        })
-    else:
-        writer.line(f"averages: {','.join(str(a) for a in point.averages)}")
-        writer.line(f"expanded: {','.join(str(e) for e in point.expand())}")
-    writer.close()
-    return EXIT_OK
+    fields = {
+        "shape": str(shape),
+        "x": list(x.entries),
+        "averages": [str(a) for a in point.averages],
+        "expanded": [str(e) for e in point.expand()],
+    }
+    lines = [
+        f"averages: {','.join(fields['averages'])}",
+        f"expanded: {','.join(fields['expanded'])}",
+    ]
+    return fields, lines, True
 
 
-def cmd_lift(args: argparse.Namespace) -> int:
-    family = _parse_family(args.family)
-    sector = _parse_sector(args.sector)
-    kind = GroupKind(family, args.rank)
-    shape = _parse_shape(args.shape, kind)
+def cmd_lift(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
+    shape = _parse_shape(args.shape, GroupKind(family, args.rank))
     sums = _parse_ints(args.sums) if args.sums else ()
     lift = minuscule_lift(shape, sums, args.so_class, sector)
-
-    writer = _Writer(args.out)
-    if args.format == "json":
-        writer.record({
-            "schema": SCHEMA,
-            "command": "lift",
-            "family": family.value,
-            "sector": sector.value,
-            "shape": str(shape),
-            "sums": list(sums),
-            "so_class": args.so_class,
-            "lift": list(lift.entries),
-        })
-    else:
-        writer.line(f"lift: {lift}")
-    writer.close()
-    return EXIT_OK
+    fields = {
+        "shape": str(shape),
+        "sums": list(sums),
+        "so_class": args.so_class,
+        "lift": list(lift.entries),
+    }
+    return fields, [f"lift: {lift}"], True
 
 
-def cmd_eta(args: argparse.Namespace) -> int:
-    family = _parse_family(args.family)
-    sector = _parse_sector(args.sector)
+def cmd_eta(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
     nu = _coweight(family, _parse_ints(args.nu), sector)
     shape = _parse_shape(args.shape, nu.kind)
-
-    writer = _Writer(args.out)
+    fields: dict[str, Any] = {"shape": str(shape), "nu": list(nu.entries)}
     try:
         res = dominant_reordering(shape, nu)
     except PreconditionError as exc:
-        writer.line(f"precondition failed: {exc}")
-        writer.close()
-        return EXIT_FALSE
+        fields.update(precondition_failed=str(exc), ok=False)
+        return fields, [f"precondition failed: {exc}"], False
 
     checks = {
         "dominant": is_dominant(res.result),
         "orbit": weyl_orbit_equivalent(res.result, nu),
     }
     ok = all(checks.values())
-    if args.format == "json":
-        record: dict[str, Any] = {
-            "schema": SCHEMA,
-            "command": "eta",
-            "family": family.value,
-            "sector": sector.value,
-            "shape": str(shape),
-            "nu": list(nu.entries),
-            "merged": list(res.merged.entries),
-            "coarse_shape": str(res.coarse_shape),
-            "result": list(res.result.entries),
-            "checks": checks,
-            "ok": ok,
-        }
-        if sector is Sector.HALF:
-            record["sign_fixed"] = list(res.sign_fixed.entries)
-            record["flip_count"] = res.flip_count
-        writer.record(record)
-    else:
-        writer.line(f"nu:     {nu}")
-        writer.line(f"merged: {res.merged}")
-        if sector is Sector.HALF:
-            writer.line(f"signs:  {res.sign_fixed} ({res.flip_count} flips)")
-        writer.line(f"coarse: {res.coarse_shape}")
-        writer.line(f"result: {res.result}")
-        status = " ".join(f"{k}:{'ok' if v else 'FAIL'}" for k, v in checks.items())
-        writer.line(f"checks: {status}")
-    writer.close()
-    return EXIT_OK if ok else EXIT_FALSE
+    fields.update(
+        merged=list(res.merged.entries),
+        coarse_shape=str(res.coarse_shape),
+        result=list(res.result.entries),
+        checks=checks,
+        ok=ok,
+    )
+    lines = [f"nu:     {nu}", f"merged: {res.merged}"]
+    if sector is Sector.HALF:
+        fields.update(
+            sign_fixed=list(res.sign_fixed.entries), flip_count=res.flip_count
+        )
+        lines.append(f"signs:  {res.sign_fixed} ({res.flip_count} flips)")
+    status = " ".join(f"{k}:{'ok' if v else 'FAIL'}" for k, v in checks.items())
+    lines += [
+        f"coarse: {res.coarse_shape}",
+        f"result: {res.result}",
+        f"checks: {status}",
+    ]
+    return fields, lines, ok
 
 
-def cmd_pmu(args: argparse.Namespace) -> int:
-    family = _parse_family(args.family)
-    sector = _parse_sector(args.sector)
+def cmd_pmu(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
     mu = _coweight(family, _parse_ints(args.mu), sector)
     points = sorted(
         enumerate_Pmu(mu, rank_cap=args.max_rank_cap), key=lambda c: c.entries
     )
+    fields = {
+        "mu": list(mu.entries),
+        "count": len(points),
+        "points": [list(p.entries) for p in points],
+    }
+    return fields, [str(p) for p in points] + [f"count: {len(points)}"], True
 
+
+def _emit(args: argparse.Namespace, family: Family, sector: Sector) -> int:
+    """Run a small command; write its record (``--format json``) or lines."""
+    fields, lines, ok = args.compute(args, family, sector)
     writer = _Writer(args.out)
     if args.format == "json":
         writer.record({
             "schema": SCHEMA,
-            "command": "pmu",
+            "command": args.command,
             "family": family.value,
             "sector": sector.value,
-            "mu": list(mu.entries),
-            "count": len(points),
-            "points": [list(p.entries) for p in points],
+            **fields,
         })
     else:
-        for p in points:
-            writer.line(str(p))
-        writer.line(f"count: {len(points)}")
+        for text in lines:
+            writer.line(text)
     writer.close()
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_FALSE
 
 
 def _verify_worker(
-    task: tuple[LeviShape, Coweight, int, bool]
-) -> tuple[VerificationReport | None, str | None]:
-    shape, mu, rank_cap, with_properties = task
+    instance: tuple[LeviShape, Coweight], rank_cap: int, check_properties: bool
+) -> VerificationReport | str:
+    """One instance's report, or the error that stopped it."""
+    shape, mu = instance
     try:
-        report = verify_main_theorem(shape, mu, rank_cap=rank_cap)
-        if with_properties:
-            extra = instance_property_failures(shape, mu)
-            if extra:
-                report = VerificationReport(
-                    shape=report.shape,
-                    mu=report.mu,
-                    lhs_classes=report.lhs_classes,
-                    rhs_classes=report.rhs_classes,
-                    equal=report.equal,
-                    missing_from_lhs=report.missing_from_lhs,
-                    missing_from_rhs=report.missing_from_rhs,
-                    witnesses=report.witnesses,
-                    millis=report.millis,
-                    property_failures=extra,
-                )
-        return report, None
+        return run_instance(
+            shape, mu, rank_cap=rank_cap, check_properties=check_properties
+        )
     except (CapExceeded, MismatchError, NotDominantError, ShapeError) as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _run_instances(
     args: argparse.Namespace,
-    tasks: list[tuple[LeviShape, Coweight, int, bool]],
+    instances: list[tuple[LeviShape, Coweight]],
+    check_properties: bool,
 ) -> int:
-    writer = _Writer(args.out)
+    """Write one record per instance, in order, as each arrives; then a summary."""
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    worker = functools.partial(
+        _verify_worker,
+        rank_cap=args.max_rank_cap,
+        check_properties=check_properties,
+    )
     unequal = errors = 0
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_worker, tasks))
-    else:
-        results = [_verify_worker(t) for t in tasks]
-    for (shape, mu, _, _), (report, error) in zip(tasks, results):
-        if error is not None:
-            errors += 1
-            writer.record({
-                "schema": SCHEMA,
-                "family": shape.kind.family.value,
-                "rank": shape.kind.rank,
-                "sector": mu.sector.value,
-                "shape": str(shape),
-                "mu": list(mu.entries),
-                "error": error,
-            })
-            continue
-        assert report is not None
-        if not report.ok:
-            unequal += 1
-        writer.record(report_json(report, args.timing))
-    writer.record({
-        "schema": SCHEMA,
-        "summary": True,
-        "instances": len(tasks),
-        "ok": len(tasks) - unequal - errors,
-        "failed": unequal,
-        "errors": errors,
-    })
-    writer.close()
+    writer = _Writer(args.out)
+    try:
+        with (
+            ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
+            else nullcontext()
+        ) as pool:
+            results = pool.map(worker, instances) if pool else map(worker, instances)
+            for (shape, mu), result in zip(instances, results):
+                if isinstance(result, str):
+                    errors += 1
+                    writer.record({**_instance_json(shape, mu), "error": result})
+                    continue
+                if not result.ok:
+                    unequal += 1
+                writer.record(report_json(result, args.timing))
+        writer.record({
+            "schema": SCHEMA,
+            "summary": True,
+            "instances": len(instances),
+            "ok": len(instances) - unequal - errors,
+            "failed": unequal,
+            "errors": errors,
+        })
+    finally:
+        writer.close()
     if errors:
         return EXIT_INTERNAL
     return EXIT_FALSE if unequal else EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    family = _parse_family(args.family)
-    sector = _parse_sector(args.sector)
+def cmd_verify(args: argparse.Namespace, family: Family, sector: Sector) -> int:
     if args.shape and args.mu:
-        mu_entries = _parse_ints(args.mu)
-        mu = _coweight(family, mu_entries, sector)
+        mu = _coweight(family, _parse_ints(args.mu), sector)
         shape = _parse_shape(args.shape, mu.kind)
         if not is_dominant(mu):
             raise ValueError(f"--mu {args.mu} is not dominant")
-        tasks = [(shape, mu, args.max_rank_cap, False)]
+        instances = [(shape, mu)]
     elif args.all_shapes:
         if args.rank is None:
             raise ValueError("--all-shapes needs --rank")
         kind = GroupKind(family, args.rank)
-        shapes = all_shapes(kind)
         mus = dominant_coweights(kind, sector, args.max_entry)
-        tasks = [
-            (shape, mu, args.max_rank_cap, False)
-            for shape in shapes
-            for mu in mus
-        ]
+        instances = [(shape, mu) for shape in all_shapes(kind) for mu in mus]
     else:
         raise ValueError("give either --shape and --mu, or --all-shapes")
-    return _run_instances(args, tasks)
+    return _run_instances(args, instances, check_properties=False)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    families = tuple(_parse_family(f) for f in args.families.split(","))
-    sectors = tuple(_parse_sector(s) for s in args.sectors.split(","))
-    ranks = _parse_ints(args.ranks)
+def cmd_sweep(args: argparse.Namespace, family: Family, sector: Sector) -> int:
+    families = (family,) if args.families is None else tuple(
+        _parse_family(f) for f in args.families.split(",")
+    )
+    sectors = (sector,) if args.sectors is None else tuple(
+        _parse_sector(s) for s in args.sectors.split(",")
+    )
     config = SweepConfig(
         families=families,
-        ranks=ranks,
+        ranks=_parse_ints(args.ranks),
         max_entry=args.max_entry,
         sectors=sectors,
         check_properties=not args.skip_properties,
         rank_cap=args.max_rank_cap,
     )
-    tasks = [
-        (shape, mu, config.rank_cap, config.check_properties)
-        for shape, mu in sweep_instances(config)
-    ]
-    return _run_instances(args, tasks)
+    return _run_instances(
+        args, list(sweep_instances(config)), config.check_properties
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +493,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="integral (default) or half (doubled odd entries)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--out", default=None, help="write output to a file")
+
+
+def _add_grid(sub: argparse.ArgumentParser) -> None:
+    """The flags ``verify`` and ``sweep`` share."""
+    sub.add_argument("--max-entry", type=int, default=2)
+    sub.add_argument("--max-rank-cap", type=int, default=DEFAULT_RANK_CAP)
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="worker processes, at least 1")
+    sub.add_argument("--timing", action="store_true",
+                     help="include per-instance milliseconds (non-deterministic)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,19 +518,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.add_argument("--x", required=True,
                    help="comma-separated integers or fractions like 3/2")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=_emit, compute=cmd_check)
 
     p = subs.add_parser("class", help="canonical lift of x for a Levi shape")
     _add_common(p)
     p.add_argument("--shape", required=True, help="e.g. 2,1,1;2")
     p.add_argument("--x", required=True)
-    p.set_defaults(func=cmd_class)
+    p.set_defaults(func=_emit, compute=cmd_class)
 
     p = subs.add_parser("project", help="batch averages of x for a Levi shape")
     _add_common(p)
     p.add_argument("--shape", required=True)
     p.add_argument("--x", required=True)
-    p.set_defaults(func=cmd_project)
+    p.set_defaults(func=_emit, compute=cmd_project)
 
     p = subs.add_parser("lift", help="canonical lift from class data")
     _add_common(p)
@@ -583,19 +538,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--sums", default="", help="comma-separated batch sums")
     p.add_argument("--so-class", dest="so_class", type=int, default=None)
-    p.set_defaults(func=cmd_lift)
+    p.set_defaults(func=_emit, compute=cmd_lift)
 
     p = subs.add_parser("eta", help="dominant reordering of a block-minuscule point")
     _add_common(p)
     p.add_argument("--shape", required=True)
     p.add_argument("--nu", required=True)
-    p.set_defaults(func=cmd_eta)
+    p.set_defaults(func=_emit, compute=cmd_eta)
 
     p = subs.add_parser("pmu", help="hull lattice points sharing mu's class")
     _add_common(p)
     p.add_argument("--mu", required=True)
     p.add_argument("--max-rank-cap", type=int, default=DEFAULT_RANK_CAP)
-    p.set_defaults(func=cmd_pmu)
+    p.set_defaults(func=_emit, compute=cmd_pmu)
 
     p = subs.add_parser("verify", help="projected set equality (NDJSON)")
     _add_common(p)
@@ -603,11 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", default=None)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--all-shapes", action="store_true")
-    p.add_argument("--max-entry", type=int, default=2)
-    p.add_argument("--max-rank-cap", type=int, default=DEFAULT_RANK_CAP)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true",
-                   help="include per-instance milliseconds (non-deterministic)")
+    _add_grid(p)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("sweep", help="verify plus property bundle over a grid")
@@ -617,10 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", required=True, help="comma list, e.g. 2,3")
     p.add_argument("--sectors", default=None,
                    help="comma list, defaults to --sector")
-    p.add_argument("--max-entry", type=int, default=2)
-    p.add_argument("--max-rank-cap", type=int, default=DEFAULT_RANK_CAP)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true")
+    _add_grid(p)
     p.add_argument("--skip-properties", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -628,20 +576,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sweep":
-        if args.families is None:
-            args.families = args.family
-        if args.sectors is None:
-            args.sectors = args.sector
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _parse_family(args.family), _parse_sector(args.sector))
     except (ShapeError, MismatchError, NotDominantError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # the exit-code contract holds for every input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

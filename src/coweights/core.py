@@ -140,7 +140,8 @@ def prefix_sums(v: Sequence[Scalar]) -> Vector:
 # Dominance and Weyl normal forms
 # ---------------------------------------------------------------------------
 
-def _vec_is_dominant(family: Family, v: Sequence[Scalar]) -> bool:
+def vec_is_dominant(family: Family, v: Sequence[Scalar]) -> bool:
+    """Whether a plain vector, rational entries allowed, is dominant."""
     n = len(v)
     if any(v[i] < v[i + 1] for i in range(n - 1)):
         return False
@@ -171,7 +172,7 @@ def _vec_dominant_rep(family: Family, v: Sequence[Scalar]) -> Vector:
 
 def is_dominant(x: Coweight) -> bool:
     """Whether ``x`` lies in the closed dominant chamber of its family."""
-    return _vec_is_dominant(x.kind.family, x.entries)
+    return vec_is_dominant(x.kind.family, x.entries)
 
 
 def dominant_representative(x: Coweight) -> Coweight:

@@ -29,6 +29,7 @@ from .core import (
     ShapeError,
     is_dominant,
     prefix_sums,
+    vec_is_dominant,
 )
 
 
@@ -178,6 +179,11 @@ def project(shape: LeviShape, x: Coweight) -> LeviPoint:
         for sl, size in zip(shape.gl_slices, shape.gl_sizes)
     )
     return LeviPoint(shape, averages)
+
+
+def has_dominant_projection(shape: LeviShape, x: Coweight) -> bool:
+    """Whether the batch averages of ``x`` lie in the dominant chamber."""
+    return vec_is_dominant(shape.kind.family, project(shape, x).expand())
 
 
 def is_M_dominant(shape: LeviShape, x: Coweight) -> bool:

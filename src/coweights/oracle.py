@@ -20,7 +20,7 @@ order and reports carry their witnesses.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, lcm
@@ -49,6 +49,7 @@ from .levi import (
     XMClass,
     all_shapes,
     class_of,
+    has_dominant_projection,
     is_M_dominant,
     is_M_minuscule,
     leq_batch_ends,
@@ -91,10 +92,6 @@ def weyl_orbit(family: Family, entries: Sequence[Scalar]) -> list[Vector]:
                 continue
             out.add(tuple(s * e for s, e in zip(signs, p)))
     return sorted(out)
-
-
-def orbit_of(x: Coweight) -> list[Vector]:
-    return weyl_orbit(x.kind.family, x.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +194,21 @@ def _solve_convex_combination(
             w = Fraction(tab[i][RHS], denom)
             if w:
                 weights[basis[i]] = w
-    # paranoia: re-derive the combination exactly before trusting it
-    assert sum(weights.values()) == 1
-    for coord in range(dim):
-        total = sum(w * Fraction(points[idx][coord]) for idx, w in weights.items())
-        assert total == Fraction(tuple(target)[coord])
+    _check_combination(points, target, weights)
     return weights
+
+
+def _check_combination(
+    points: Sequence[Vector], target: Sequence[Scalar], weights: dict[int, Fraction]
+) -> None:
+    """Re-derive a combination exactly before trusting it; raise if it is wrong."""
+    target = tuple(target)
+    if sum(weights.values()) != 1 or any(
+        sum(w * Fraction(points[idx][coord]) for idx, w in weights.items())
+        != Fraction(target[coord])
+        for coord in range(len(target))
+    ):
+        raise ArithmeticError(f"weights {weights} do not combine to {target}")
 
 
 def _solve_support_weights(
@@ -379,14 +385,6 @@ def _batch_sum_range(size: int, bound: int, sector: Sector) -> range:
     return range(start, bound + 1, 2)
 
 
-def _rhs_sum_ranges(shape: LeviShape, mu: Coweight) -> list[range]:
-    radius = max((abs(e) for e in mu.entries), default=0)
-    return [
-        _batch_sum_range(size, size * radius, mu.sector)
-        for size in shape.gl_sizes
-    ]
-
-
 def _so_classes(shape: LeviShape, sector: Sector) -> list[int | None]:
     if shape.so_rank == 0:
         return [None]
@@ -394,6 +392,20 @@ def _so_classes(shape: LeviShape, sector: Sector) -> list[int | None]:
         j = shape.so_rank
         return sorted({j % 4, (j - 2) % 4})
     return [0, 1]
+
+
+def valid_lifts(
+    shape: LeviShape, sector: Sector, entry_bound: int
+) -> Iterator[Coweight]:
+    """Every block-dominant, block-minuscule coweight whose GL entries stay
+    within [-entry_bound, entry_bound], enumerated via its class data."""
+    ranges = [
+        _batch_sum_range(size, size * entry_bound, sector)
+        for size in shape.gl_sizes
+    ]
+    for sums in product(*ranges):
+        for so_class in _so_classes(shape, sector):
+            yield minuscule_lift(shape, sums, so_class, sector)
 
 
 def verify_main_theorem(
@@ -418,14 +430,11 @@ def verify_main_theorem(
         witness.setdefault(class_of(shape, nu), nu)
     lhs = frozenset(witness)
 
+    radius = max((abs(e) for e in mu.entries), default=0)
     rhs_set: set[XMClass] = set()
-    for sums in product(*_rhs_sum_ranges(shape, mu)):
-        for so_class in _so_classes(shape, mu.sector):
-            lift = minuscule_lift(shape, sums, so_class, mu.sector)
-            if not same_class_XG(lift, mu):
-                continue
-            if in_hull(project(shape, lift).expand(), mu):
-                rhs_set.add(XMClass(shape, lift))
+    for lift in valid_lifts(shape, mu.sector, radius):
+        if same_class_XG(lift, mu) and in_hull(project(shape, lift).expand(), mu):
+            rhs_set.add(XMClass(shape, lift))
     rhs = frozenset(rhs_set)
 
     missing_from_lhs = tuple(sorted(rhs - lhs, key=XMClass.sort_key))
@@ -461,46 +470,23 @@ def dominant_coweights(
     uses odd (doubled) values up to the odd bound.
     """
     n = kind.rank
-    if sector is Sector.HALF:
-        if kind.family is not Family.D:
-            raise MismatchError("half sector requires family D")
-        odd = [v for v in range(1, max_entry + 1) if v % 2 == 1]
-        out = []
-        for head in product(*([odd] * (n - 1))):
-            if any(head[i] < head[i + 1] for i in range(n - 2)):
-                continue
-            cap = head[-1]
-            for last in range(-cap, cap + 1, 2):
-                out.append(Coweight(kind, head + (last,), sector))
-        return sorted(out, key=lambda c: c.entries)
-    vals = range(0, max_entry + 1)
+    if sector is Sector.HALF and kind.family is not Family.D:
+        raise MismatchError("half sector requires family D")
+    step = 2 if sector is Sector.HALF else 1
+    vals = range(step - 1, max_entry + 1, step)
     out = []
-    if kind.family in (Family.A, Family.B):
-        for vec in product(*([vals] * n)):
+    if kind.family is not Family.D:
+        for vec in product(vals, repeat=n):
             if all(vec[i] >= vec[i + 1] for i in range(n - 1)):
-                out.append(Coweight(kind, vec))
+                out.append(Coweight(kind, vec, sector))
         return sorted(out, key=lambda c: c.entries)
-    for head in product(*([vals] * (n - 1))):
+    for head in product(vals, repeat=n - 1):
         if any(head[i] < head[i + 1] for i in range(n - 2)):
             continue
         cap = head[-1]
-        for last in range(-cap, cap + 1):
-            out.append(Coweight(kind, head + (last,)))
+        for last in range(-cap, cap + 1, step):
+            out.append(Coweight(kind, head + (last,), sector))
     return sorted(out, key=lambda c: c.entries)
-
-
-def valid_lifts(
-    shape: LeviShape, sector: Sector, entry_bound: int
-) -> Iterator[Coweight]:
-    """Every block-dominant, block-minuscule coweight whose GL entries stay
-    within [-entry_bound, entry_bound], enumerated via its class data."""
-    ranges = [
-        _batch_sum_range(size, size * entry_bound, sector)
-        for size in shape.gl_sizes
-    ]
-    for sums in product(*ranges):
-        for so_class in _so_classes(shape, sector):
-            yield minuscule_lift(shape, sums, so_class, sector)
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +615,6 @@ def reordering_failures(
     return failures
 
 
-def has_dominant_projection(shape: LeviShape, nu: Coweight) -> bool:
-    """The property-sweep filter: batch averages in the dominant chamber."""
-    from .core import _vec_is_dominant
-
-    return _vec_is_dominant(shape.kind.family, project(shape, nu).expand())
-
-
 def instance_property_failures(
     shape: LeviShape, mu: Coweight
 ) -> tuple[str, ...]:
@@ -660,13 +639,12 @@ def instance_property_failures(
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid description for :func:`sweep`; shapes may be "all"."""
+    """Grid description for :func:`sweep`: every shape of every listed kind."""
 
     families: tuple[Family, ...]
     ranks: tuple[int, ...]
     max_entry: int
     sectors: tuple[Sector, ...] = (Sector.INTEGRAL,)
-    shapes: tuple[LeviShape, ...] | str = "all"
     check_properties: bool = True
     rank_cap: int = DEFAULT_RANK_CAP
 
@@ -683,41 +661,33 @@ def sweep_instances(
             for sector in sorted(config.sectors, key=lambda s: s.value):
                 if sector is Sector.HALF and family is not Family.D:
                     continue
-                if config.shapes == "all":
-                    shapes = all_shapes(kind)
-                else:
-                    shapes = [s for s in config.shapes if s.kind == kind]
                 mus = dominant_coweights(kind, sector, config.max_entry)
-                for shape in shapes:
+                for shape in all_shapes(kind):
                     for mu in mus:
                         yield shape, mu
 
 
-def sweep(config: SweepConfig) -> list[VerificationReport]:
-    """Run the set-equality verifier over the whole grid.
+def run_instance(
+    shape: LeviShape, mu: Coweight, *, rank_cap: int, check_properties: bool
+) -> VerificationReport:
+    """One instance of a sweep: the set equality, plus the property bundle
+    (batch-end order equivalence and the reordering postconditions) when
+    ``check_properties`` is on."""
+    report = verify_main_theorem(shape, mu, rank_cap=rank_cap)
+    if not check_properties:
+        return report
+    return replace(report, property_failures=instance_property_failures(shape, mu))
 
-    Each report also carries the per-instance property bundle (batch-end
-    order equivalence plus the reordering postconditions) unless
-    ``check_properties`` is off.  Cap violations surface as reports would;
-    the grids used here stay within the default caps.
+
+def sweep(config: SweepConfig) -> list[VerificationReport]:
+    """Run :func:`run_instance` over the whole grid, in grid order.
+
+    Cap violations raise; the grids used here stay within the default caps.
     """
-    reports = []
-    for shape, mu in sweep_instances(config):
-        report = verify_main_theorem(shape, mu, rank_cap=config.rank_cap)
-        if config.check_properties:
-            extra = instance_property_failures(shape, mu)
-            if extra:
-                report = VerificationReport(
-                    shape=report.shape,
-                    mu=report.mu,
-                    lhs_classes=report.lhs_classes,
-                    rhs_classes=report.rhs_classes,
-                    equal=report.equal,
-                    missing_from_lhs=report.missing_from_lhs,
-                    missing_from_rhs=report.missing_from_rhs,
-                    witnesses=report.witnesses,
-                    millis=report.millis,
-                    property_failures=extra,
-                )
-        reports.append(report)
-    return reports
+    return [
+        run_instance(
+            shape, mu,
+            rank_cap=config.rank_cap, check_properties=config.check_properties,
+        )
+        for shape, mu in sweep_instances(config)
+    ]

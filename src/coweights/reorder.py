@@ -36,9 +36,8 @@ from .core import (
     NormalizationRequired,
     PreconditionError,
     Sector,
-    _vec_is_dominant,
 )
-from .levi import LeviShape, is_M_dominant, is_M_minuscule, project
+from .levi import LeviShape, has_dominant_projection, is_M_dominant, is_M_minuscule
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,7 @@ def check_batch_order(shape: LeviShape, nu: Coweight) -> bool:
     firsts = _batch_firsts(shape, nu)
     if all(firsts[i] >= firsts[i + 1] for i in range(len(firsts) - 1)):
         return True
-    averaged = project(shape, nu).expand()
-    if not _vec_is_dominant(shape.kind.family, averaged):
+    if not has_dominant_projection(shape, nu):
         raise NormalizationRequired(
             f"the batch averages of {nu} under {shape} are not dominant and "
             "the batch first entries are out of order; re-pose the input in "

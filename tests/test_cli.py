@@ -4,6 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from coweights import (
+    Family, GroupKind, LeviShape, Sector, SweepConfig, cli, coweight, oracle, sweep,
+)
 
 
 def run_cli(*args):
@@ -91,6 +96,20 @@ class TestEta:
         proc = run_cli("eta", "--family", "A", "--shape", "1,1", "--nu", "0,1")
         assert proc.returncode == 1
         assert "precondition failed" in proc.stdout
+
+    def test_precondition_failure_json_record(self):
+        proc = run_cli(
+            "eta", "--family", "A", "--shape", "1,1", "--nu", "0,1",
+            "--format", "json",
+        )
+        assert proc.returncode == 1
+        record = json.loads(proc.stdout)
+        message = record.pop("precondition_failed")
+        assert message.startswith("the batch first entries of 0,1")
+        assert record == {
+            "schema": 1, "command": "eta", "family": "A", "sector": "integral",
+            "shape": "1,1", "nu": [0, 1], "ok": False,
+        }
 
     def test_half_sector_records_flips(self):
         proc = run_cli(
@@ -232,3 +251,69 @@ def test_out_flag_writes_file(tmp_path):
     assert proc.returncode == 0
     records = [json.loads(line) for line in target.read_text().splitlines()]
     assert records[0]["equal"] is True
+
+
+def _raise_internal(*args, **kwargs):
+    raise RuntimeError("unexpected")
+
+
+@pytest.mark.parametrize("argv, patched, code", [
+    (["check", "--family", "B", "--mu", "2,0,0", "--x", "1,1/0,0"], None, 2),
+    (["check", "--family", "B", "--mu", "", "--x", ""], None, 2),
+    (["verify", "--family", "A", "--shape", "2", "--mu", "1,0", "--jobs", "-3"],
+     None, 2),
+    (["sweep", "--family", "A", "--ranks", "1", "--jobs", "0"], None, 2),
+    (["pmu", "--family", "A", "--mu", "0,0,0,0,0,0,0"], None, 3),
+    (["check", "--family", "B", "--mu", "2,0,0", "--x", "1,1,0"], "cmd_check", 3),
+    (["sweep", "--family", "A", "--ranks", "1", "--max-entry", "0"],
+     "run_instance", 3),
+], ids=["zero-denominator", "empty-vectors", "negative-jobs", "zero-jobs",
+        "rank-cap", "command-raises", "instance-raises"])
+def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys):
+    """Every input ends in a contract exit code with a one-line message."""
+    if patched:
+        monkeypatch.setattr(cli, patched, _raise_internal)
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    if patched:
+        assert err == "internal error: RuntimeError: unexpected\n"
+
+
+def test_property_failure_reaches_every_report(monkeypatch, capsys):
+    monkeypatch.setattr(
+        oracle, "instance_property_failures", lambda shape, mu: ("injected",)
+    )
+    shape = LeviShape(GroupKind(Family.A, 2), (2,), 0)
+    report = oracle.run_instance(
+        shape, coweight("A", (1, 0)), rank_cap=6, check_properties=True
+    )
+    assert report.equal and report.property_failures == ("injected",)
+    assert not report.ok
+    config = SweepConfig(families=(Family.A,), ranks=(1,), max_entry=0)
+    assert [r.property_failures for r in sweep(config)] == [("injected",)]
+
+    code = cli.main(["sweep", "--family", "A", "--ranks", "1", "--max-entry", "0"])
+    body, summary = ndjson(capsys.readouterr().out)
+    assert body["property_failures"] == ["injected"]
+    assert summary["failed"] == 1
+    assert code == 1
+
+
+def test_library_sweep_matches_cli_lines(capsys):
+    """``sweep`` and the CLI share one instance pipeline and one serialiser."""
+    code = cli.main([
+        "sweep", "--family", "D", "--sectors", "integral,half", "--ranks", "2",
+        "--max-entry", "3",
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    config = SweepConfig(
+        families=(Family.D,), ranks=(2,), max_entry=3,
+        sectors=(Sector.INTEGRAL, Sector.HALF),
+    )
+    expected = [
+        json.dumps(cli.report_json(r, False), separators=(", ", ": "))
+        for r in sweep(config)
+    ]
+    assert code == 0
+    assert lines[:-1] == expected

@@ -28,7 +28,7 @@ from coweights import (
     verify_main_theorem,
     weyl_orbit,
 )
-from coweights.oracle import weyl_group_order
+from coweights.oracle import _check_combination, weyl_group_order
 
 
 class TestWeylOrbit:
@@ -102,6 +102,16 @@ class TestCaratheodory:
         mu = coweight("B", (2, 1))
         assert convex_combination_bruteforce((3, 0), mu) is None
         assert not caratheodory_in_hull((3, 0), mu)
+
+    def test_wrong_combination_raises(self):
+        """The re-check of a simplex answer is a real check, not an assert
+        that ``python -O`` strips."""
+        points = [(2, 0), (0, 2)]
+        half = Fraction(1, 2)
+        _check_combination(points, (1, 1), {0: half, 1: half})
+        for weights in ({0: half, 1: Fraction(1, 3)}, {0: Fraction(1), 1: Fraction(0)}):
+            with pytest.raises(ArithmeticError):
+                _check_combination(points, (1, 1), weights)
 
     def test_weyl_cap(self):
         mu = Coweight(GroupKind(Family.B, 5), (1, 0, 0, 0, 0))
