@@ -22,7 +22,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import lru_cache
+from itertools import combinations, islice, permutations, product
 from math import factorial, lcm
 from typing import Iterator, Sequence
 
@@ -60,6 +61,10 @@ from .reorder import check_batch_order, dominant_reordering
 
 DEFAULT_WEYL_CAP = 384
 DEFAULT_RANK_CAP = 6
+# most dominant weights dominant_coweights builds before raising CapExceeded
+GRID_CAP = 100_000
+# distinct mu whose orbit caratheodory_in_hull keeps
+ORBIT_MEMO_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +104,19 @@ def weyl_orbit(family: Family, entries: Sequence[Scalar]) -> list[Vector]:
 # ---------------------------------------------------------------------------
 
 def _scale_to_integers(
-    points: Sequence[Sequence[Scalar]], target: Sequence[Scalar]
+    points: Sequence[Vector], target: Sequence[Scalar]
 ) -> tuple[list[list[int]], list[int]]:
-    den = 1
-    for vec in list(points) + [list(target)]:
-        for e in vec:
-            den = lcm(den, Fraction(e).denominator)
-    cols = [[int(Fraction(e) * den) for e in p] for p in points]
-    rhs = [int(Fraction(e) * den) for e in target]
-    return cols, rhs
+    """Coordinate rows of the orbit and the target, scaled to integers.
+
+    Orbit entries are ``int`` already, so only the target can carry a
+    denominator: ``den`` is the lcm of the target's denominators, and the
+    orbit is scaled by integer multiplication.
+    """
+    exact = [Fraction(e) for e in target]
+    den = lcm(*(e.denominator for e in exact))
+    rows = [[e * den for e in coord] for coord in zip(*points)]
+    rhs = [int(e * den) for e in exact]
+    return rows, rhs
 
 
 def _solve_convex_combination(
@@ -120,45 +129,30 @@ def _solve_convex_combination(
     (sum of weights = 1, weighted sum of points = target), solved exactly.
     Returns the weights of a combination supported on at most dim+1 points,
     or ``None`` when no convex combination exists.
+
+    The points are integer vectors; only the target is scaled to clear its
+    denominators.  The artificial columns are not stored: an artificial
+    never re-enters the basis, so pricing and the ratio test read only the
+    point columns and the right-hand side.  Row ``i``'s artificial keeps
+    its basis label ``m + i``, which is all Bland's tie-break reads of it.
     """
     m = len(points)
     if m == 0:
         return None
-    dim = len(tuple(target))
-    cols, rhs_scaled = _scale_to_integers(points, target)
+    rows, rhs_scaled = _scale_to_integers(points, target)
 
-    nrows = dim + 1
-    width = m + nrows + 1
-    RHS = width - 1
     tab: list[list[int]] = []
-    for i in range(nrows):
-        if i < dim:
-            row = [cols[jcol][i] for jcol in range(m)]
-            b = rhs_scaled[i]
-        else:
-            row = [1] * m
-            b = 1
-        if b < 0:
-            row = [-e for e in row]
-            b = -b
-        full = row + [0] * nrows + [b]
-        full[m + i] = 1
-        tab.append(full)
-    obj = [0] * width
-    for i in range(nrows):
-        for jcol in range(m):
-            obj[jcol] -= tab[i][jcol]
-        obj[RHS] -= tab[i][RHS]
-    tab.append(obj)
+    for row, b in zip(rows + [[1] * m], rhs_scaled + [1]):
+        tab.append([-e for e in row] + [-b] if b < 0 else row + [b])
+    nrows = len(tab)
+    tab.append([-sum(col) for col in zip(*tab)])
+    RHS = m
 
     basis = list(range(m, m + nrows))
     denom = 1
     while True:
-        q = -1
-        for jcol in range(m):  # artificial columns never re-enter
-            if tab[nrows][jcol] < 0:
-                q = jcol
-                break
+        obj = tab[nrows]
+        q = next((jcol for jcol in range(m) if obj[jcol] < 0), -1)
         if q < 0:
             break
         p = -1
@@ -174,15 +168,14 @@ def _solve_convex_combination(
                 p = i
         if p < 0:
             return None
-        pivot = tab[p][q]
         prow = tab[p]
+        pivot = prow[q]
         for i in range(nrows + 1):
-            if i == p:
-                continue
-            row = tab[i]
-            coeff = row[q]
-            for jcol in range(width):
-                row[jcol] = (row[jcol] * pivot - coeff * prow[jcol]) // denom
+            if i != p:
+                coeff = tab[i][q]
+                tab[i] = [
+                    (a * pivot - coeff * b) // denom for a, b in zip(tab[i], prow)
+                ]
         basis[p] = q
         denom = pivot
 
@@ -259,7 +252,7 @@ def convex_combination_bruteforce(
     Exponentially slower than :func:`caratheodory_in_hull` but a direct
     transcription of the definition; used to cross-check the simplex path.
     """
-    pts, target = _hull_problem(x, mu, weyl_cap)
+    (pts, _, _), target = _hull_problem(x, mu, weyl_cap)
     dim = len(target)
     for size in range(1, dim + 2):
         for chosen in combinations(pts, size):
@@ -269,9 +262,21 @@ def convex_combination_bruteforce(
     return None
 
 
+@lru_cache(maxsize=ORBIT_MEMO_SIZE)
+def _orbit_problem(
+    family: Family, entries: tuple[int, ...]
+) -> tuple[tuple[Vector, ...], Vector, Vector]:
+    """The Weyl orbit of ``entries`` as a tuple, with its per-coordinate
+    minima and maxima; built once per (family, entries)."""
+    pts = tuple(weyl_orbit(family, entries))  # the module global, so tracing sees it
+    coords = list(zip(*pts))
+    return pts, tuple(map(min, coords)), tuple(map(max, coords))
+
+
 def _hull_problem(
     x: Coweight | Sequence[Scalar], mu: Coweight, weyl_cap: int
-) -> tuple[list[Vector], Vector]:
+) -> tuple[tuple[tuple[Vector, ...], Vector, Vector], Vector]:
+    """((orbit, minima, maxima), target) after checking the arguments."""
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")
     family = mu.kind.family
@@ -290,7 +295,7 @@ def _hull_problem(
             raise MismatchError(
                 f"expected {mu.kind.rank} entries, got {len(target)}"
             )
-    return weyl_orbit(family, mu.entries), target
+    return _orbit_problem(family, mu.entries), target
 
 
 def caratheodory_in_hull(
@@ -305,13 +310,15 @@ def caratheodory_in_hull(
     rank+1 via exact simplex.  Completely independent of the prefix-sum
     order relation, which is the point: this is the anti-bug oracle for
     :func:`coweights.core.in_hull`.
+
+    The orbit and its per-coordinate bounds are built once per μ and kept
+    in a bounded memo (``ORBIT_MEMO_SIZE`` entries); only the target is
+    scaled to integers, and the simplex stores no artificial columns.
     """
-    pts, target = _hull_problem(x, mu, weyl_cap)
+    (pts, lows, highs), target = _hull_problem(x, mu, weyl_cap)
     # cheap necessary conditions read off the explicit orbit
-    for coord in range(len(target)):
-        values = [p[coord] for p in pts]
-        if not min(values) <= target[coord] <= max(values):
-            return False
+    if not all(lo <= t <= hi for lo, t, hi in zip(lows, target, highs)):
+        return False
     return _solve_convex_combination(pts, target) is not None
 
 
@@ -459,6 +466,30 @@ def verify_main_theorem(
 # Grids
 # ---------------------------------------------------------------------------
 
+def _nonincreasing(values: range, length: int) -> Iterator[tuple[int, ...]]:
+    """Nonincreasing tuples over the descending range ``values``, in
+    ``combinations_with_replacement`` order.  That function would first
+    copy ``values`` into a tuple, which a huge ``max_entry`` cannot afford;
+    slicing a range copies nothing."""
+    if length == 0:
+        yield ()
+        return
+    for i, v in enumerate(values):
+        for tail in _nonincreasing(values[i:], length - 1):
+            yield (v,) + tail
+
+
+def _dominant_tuples(
+    family: Family, n: int, values: range, step: int
+) -> Iterator[tuple[int, ...]]:
+    if family is not Family.D:
+        yield from _nonincreasing(values, n)
+        return
+    for head in _nonincreasing(values, n - 1):
+        for last in range(-head[-1], head[-1] + 1, step):
+            yield head + (last,)
+
+
 def dominant_coweights(
     kind: GroupKind, sector: Sector, max_entry: int
 ) -> list[Coweight]:
@@ -467,25 +498,21 @@ def dominant_coweights(
     Families A and B: nonincreasing entries in [0, max_entry].  Family D:
     nonincreasing entries in [0, max_entry] with the last coordinate
     allowed any sign of magnitude at most its neighbor; the half sector
-    uses odd (doubled) values up to the odd bound.
+    uses odd (doubled) values up to the odd bound.  The nonincreasing
+    tuples are generated directly, and a grid raises :class:`CapExceeded`
+    as soon as it passes ``GRID_CAP`` weights.
     """
-    n = kind.rank
     if sector is Sector.HALF and kind.family is not Family.D:
         raise MismatchError("half sector requires family D")
     step = 2 if sector is Sector.HALF else 1
-    vals = range(step - 1, max_entry + 1, step)
-    out = []
-    if kind.family is not Family.D:
-        for vec in product(vals, repeat=n):
-            if all(vec[i] >= vec[i + 1] for i in range(n - 1)):
-                out.append(Coweight(kind, vec, sector))
-        return sorted(out, key=lambda c: c.entries)
-    for head in product(vals, repeat=n - 1):
-        if any(head[i] < head[i + 1] for i in range(n - 2)):
-            continue
-        cap = head[-1]
-        for last in range(-cap, cap + 1, step):
-            out.append(Coweight(kind, head + (last,), sector))
+    descending = range(step - 1, max_entry + 1, step)[::-1]
+    tuples = _dominant_tuples(kind.family, kind.rank, descending, step)
+    out = [Coweight(kind, vec, sector) for vec in islice(tuples, GRID_CAP + 1)]
+    if len(out) > GRID_CAP:
+        raise CapExceeded(
+            f"the dominant grid of {kind} with max entry {max_entry} "
+            f"exceeds the cap of {GRID_CAP} weights"
+        )
     return sorted(out, key=lambda c: c.entries)
 
 

@@ -267,8 +267,10 @@ def _raise_internal(*args, **kwargs):
     (["check", "--family", "B", "--mu", "2,0,0", "--x", "1,1,0"], "cmd_check", 3),
     (["sweep", "--family", "A", "--ranks", "1", "--max-entry", "0"],
      "run_instance", 3),
+    (["sweep", "--family", "A", "--ranks", "4", "--max-entry", "1000000000"],
+     None, 3),
 ], ids=["zero-denominator", "empty-vectors", "negative-jobs", "zero-jobs",
-        "rank-cap", "command-raises", "instance-raises"])
+        "rank-cap", "command-raises", "instance-raises", "max-entry-cap"])
 def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys):
     """Every input ends in a contract exit code with a one-line message."""
     if patched:

@@ -1,5 +1,7 @@
 """Brute-force ground truth: orbits, hull certificates, and the set equality."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -28,7 +30,7 @@ from coweights import (
     verify_main_theorem,
     weyl_orbit,
 )
-from coweights.oracle import _check_combination, weyl_group_order
+from coweights.oracle import GRID_CAP, _check_combination, weyl_group_order
 
 
 class TestWeylOrbit:
@@ -112,6 +114,23 @@ class TestCaratheodory:
         for weights in ({0: half, 1: Fraction(1, 3)}, {0: Fraction(1), 1: Fraction(0)}):
             with pytest.raises(ArithmeticError):
                 _check_combination(points, (1, 1), weights)
+
+    def test_wrong_combination_raises_under_optimize(self):
+        """Under ``python -O`` the re-check still raises on wrong weights."""
+        code = (
+            "from fractions import Fraction\n"
+            "from coweights.oracle import _check_combination\n"
+            "assert False, 'asserts are live'\n"
+            "try:\n"
+            "    _check_combination([(2, 0), (0, 2)], (1, 1), {0: Fraction(1), 1: Fraction(0)})\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_weyl_cap(self):
         mu = Coweight(GroupKind(Family.B, 5), (1, 0, 0, 0, 0))
@@ -244,6 +263,43 @@ def test_trivial_grid_with_zero_weight():
         report = verify_main_theorem(shape, mu)
         assert report.equal
         assert len(report.lhs_classes) == 1
+
+
+def _box_scan_dominant_coweights(kind, sector, max_entry):
+    """The (max_entry+1)^n box scan that dominant_coweights replaced, kept
+    as its reference."""
+    n = kind.rank
+    step = 2 if sector is Sector.HALF else 1
+    vals = range(step - 1, max_entry + 1, step)
+    out = []
+    if kind.family is not Family.D:
+        for vec in product(vals, repeat=n):
+            if all(vec[i] >= vec[i + 1] for i in range(n - 1)):
+                out.append(Coweight(kind, vec, sector))
+        return sorted(out, key=lambda c: c.entries)
+    for head in product(vals, repeat=n - 1):
+        if any(head[i] < head[i + 1] for i in range(n - 2)):
+            continue
+        for last in range(-head[-1], head[-1] + 1, step):
+            out.append(Coweight(kind, head + (last,), sector))
+    return sorted(out, key=lambda c: c.entries)
+
+
+class TestDominantCoweights:
+    @pytest.mark.parametrize("family,sector", FAMILY_SECTORS)
+    def test_matches_box_scan(self, family, sector):
+        for rank in range(2 if family is Family.D else 1, 6):
+            kind = GroupKind(family, rank)
+            for max_entry in range(-1, 5):
+                assert dominant_coweights(kind, sector, max_entry) == (
+                    _box_scan_dominant_coweights(kind, sector, max_entry)
+                ), (kind, max_entry)
+
+    def test_grid_cap(self):
+        kind = GroupKind(Family.D, 3)
+        with pytest.raises(CapExceeded):
+            dominant_coweights(kind, Sector.INTEGRAL, 10**9)
+        assert len(dominant_coweights(kind, Sector.INTEGRAL, 30)) <= GRID_CAP
 
 
 class TestSweep:

@@ -1,12 +1,15 @@
-"""Every name the benchmark's traced run wraps still exists.
+"""Every name the benchmark's traced run wraps still exists, and the
+benchmark's own unit tests pass.
 
 ``perfbench/tracer.py`` replaces the functions listed in ``WRAP_POINTS`` to
 measure each layer; a renamed function would drop its metric with only a
-line on standard error.  This test reads the list and changes nothing.
+line on standard error.  These tests read perfbench and change nothing.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,13 @@ def test_wrap_point_resolves(module, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_benchmark_self_tests_pass():
+    """``python -m unittest discover -s perfbench``, which no other suite runs."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", str(TRACER.parent),
+         "-p", "test_*.py"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
