@@ -230,7 +230,7 @@ def _vec_leq(family: Family, x: Sequence[Scalar], m: Sequence[Scalar]) -> bool:
     return sx[n - 1] <= sm[n - 1]
 
 
-def _coerce_vector(x: Coweight | Sequence[Scalar], mu: Coweight) -> Vector:
+def coerce_vector(x: Coweight | Sequence[Scalar], mu: Coweight) -> Vector:
     """Validate ``x`` against ``mu``'s lattice and return its raw entries."""
     if isinstance(x, Coweight):
         if x.kind != mu.kind:
@@ -258,7 +258,7 @@ def leq(x: Coweight | Sequence[Scalar], mu: Coweight) -> bool:
     """
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")
-    vec = _coerce_vector(x, mu)
+    vec = coerce_vector(x, mu)
     return _vec_leq(mu.kind.family, vec, mu.entries)
 
 
@@ -293,7 +293,7 @@ def in_hull(x: Coweight | Sequence[Scalar], mu: Coweight) -> bool:
     """
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")
-    vec = _coerce_vector(x, mu)
+    vec = coerce_vector(x, mu)
     family = mu.kind.family
     rep = _vec_dominant_rep(family, vec)
     return _vec_leq(family, rep, mu.entries)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from math import factorial, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .core import (
@@ -38,6 +39,7 @@ from .core import (
     Scalar,
     Sector,
     Vector,
+    coerce_vector,
     in_hull,
     is_dominant,
     leq,
@@ -103,20 +105,12 @@ def weyl_orbit(family: Family, entries: Sequence[Scalar]) -> list[Vector]:
 # Exact convex-combination search
 # ---------------------------------------------------------------------------
 
-def _scale_to_integers(
-    points: Sequence[Vector], target: Sequence[Scalar]
-) -> tuple[list[list[int]], list[int]]:
-    """Coordinate rows of the orbit and the target, scaled to integers.
-
-    Orbit entries are ``int`` already, so only the target can carry a
-    denominator: ``den`` is the lcm of the target's denominators, and the
-    orbit is scaled by integer multiplication.
-    """
+def _integer_target(target: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """``(den, den * target)``: each entry read exactly as ``Fraction(e)``,
+    and ``den`` the lcm of their denominators."""
     exact = [Fraction(e) for e in target]
     den = lcm(*(e.denominator for e in exact))
-    rows = [[e * den for e in coord] for coord in zip(*points)]
-    rhs = [int(e * den) for e in exact]
-    return rows, rhs
+    return den, [e.numerator * (den // e.denominator) for e in exact]
 
 
 def _solve_convex_combination(
@@ -130,63 +124,71 @@ def _solve_convex_combination(
     Returns the weights of a combination supported on at most dim+1 points,
     or ``None`` when no convex combination exists.
 
-    The points are integer vectors; only the target is scaled to clear its
-    denominators.  The artificial columns are not stored: an artificial
-    never re-enters the basis, so pricing and the ratio test read only the
-    point columns and the right-hand side.  Row ``i``'s artificial keeps
-    its basis label ``m + i``, which is all Bland's tie-break reads of it.
+    Rows: the point coordinates times ``den`` (the lcm of the target's
+    denominators) and a row of ones, each negated where its right-hand side
+    is negative.  Revised form: row ``i`` of ``M`` is tableau row ``i`` in
+    the artificial columns plus its right-hand side, and every tableau row
+    is ``M`` times the initial rows (the objective adds ``denom`` times its
+    own).  So point ``p_j`` prices at ``w . p_j - bound``, both read off the
+    objective row, the row signs and ``den``; Bland enters the first ``j``
+    with ``w . p_j < bound``, and only that column is formed.  The pivots
+    are the full tableau's: ``M`` is its artificial block under the same
+    exact Bareiss step, and every scale factor is a positive pivot.
     """
     m = len(points)
     if m == 0:
         return None
-    rows, rhs_scaled = _scale_to_integers(points, target)
-
-    tab: list[list[int]] = []
-    for row, b in zip(rows + [[1] * m], rhs_scaled + [1]):
-        tab.append([-e for e in row] + [-b] if b < 0 else row + [b])
-    nrows = len(tab)
-    tab.append([-sum(col) for col in zip(*tab)])
-    RHS = m
+    den, rhs = _integer_target(target)
+    n = len(rhs)
+    nrows = n + 1
+    signs = [-1 if b < 0 else 1 for b in rhs]
+    M = [[int(i == k) for k in range(nrows)] + [abs(b)]
+         for i, b in enumerate(rhs + [1])]
+    M.append([0] * nrows + [-sum(row[-1] for row in M)])
 
     basis = list(range(m, m + nrows))
     denom = 1
     while True:
-        obj = tab[nrows]
-        q = next((jcol for jcol in range(m) if obj[jcol] < 0), -1)
+        obj = M[nrows]
+        w = [(a - denom) * s * den for a, s in zip(obj, signs)]
+        bound = denom - obj[n]
+        q = next(
+            (j for j, pt in enumerate(points) if sum(map(mul, w, pt)) < bound), -1
+        )
         if q < 0:
             break
+        entering = [s * den * e for s, e in zip(signs, points[q])] + [1]
+        # map stops at the shorter list, before each row's right-hand side
+        col = [sum(map(mul, row, entering)) for row in M[:nrows]]
+        col.append(sum(map(mul, w, points[q])) - bound)
         p = -1
         for i in range(nrows):
-            if tab[i][q] <= 0:
+            if col[i] <= 0:
                 continue
             if p < 0:
                 p = i
                 continue
-            left = tab[i][RHS] * tab[p][q]
-            right = tab[p][RHS] * tab[i][q]
+            left = M[i][-1] * col[p]
+            right = M[p][-1] * col[i]
             if left < right or (left == right and basis[i] < basis[p]):
                 p = i
         if p < 0:
             return None
-        prow = tab[p]
-        pivot = prow[q]
+        prow = M[p]
+        pivot = col[p]
         for i in range(nrows + 1):
             if i != p:
-                coeff = tab[i][q]
-                tab[i] = [
-                    (a * pivot - coeff * b) // denom for a, b in zip(tab[i], prow)
-                ]
+                coeff = col[i]
+                M[i] = [(a * pivot - coeff * b) // denom for a, b in zip(M[i], prow)]
         basis[p] = q
         denom = pivot
 
-    if tab[nrows][RHS] != 0:
+    if M[nrows][-1] != 0:
         return None
-    weights: dict[int, Fraction] = {}
-    for i in range(nrows):
-        if basis[i] < m:
-            w = Fraction(tab[i][RHS], denom)
-            if w:
-                weights[basis[i]] = w
+    weights = {
+        basis[i]: Fraction(M[i][-1], denom)
+        for i in range(nrows) if basis[i] < m and M[i][-1]
+    }
     _check_combination(points, target, weights)
     return weights
 
@@ -252,7 +254,7 @@ def convex_combination_bruteforce(
     Exponentially slower than :func:`caratheodory_in_hull` but a direct
     transcription of the definition; used to cross-check the simplex path.
     """
-    (pts, _, _), target = _hull_problem(x, mu, weyl_cap)
+    (pts, _), target = _hull_problem(x, mu, weyl_cap)
     dim = len(target)
     for size in range(1, dim + 2):
         for chosen in combinations(pts, size):
@@ -265,18 +267,23 @@ def convex_combination_bruteforce(
 @lru_cache(maxsize=ORBIT_MEMO_SIZE)
 def _orbit_problem(
     family: Family, entries: tuple[int, ...]
-) -> tuple[tuple[Vector, ...], Vector, Vector]:
-    """The Weyl orbit of ``entries`` as a tuple, with its per-coordinate
-    minima and maxima; built once per (family, entries)."""
+) -> tuple[tuple[Vector, ...], tuple[tuple[Vector, int], ...]]:
+    """The Weyl orbit of ``entries`` as a tuple, and its support function:
+    ``(c, h(c) = max of c . v over the orbit)`` for every ``c`` in
+    {-1, 0, 1}^n except 0, unit vectors first.  They include a multiple of
+    each Weyl conjugate of each fundamental coweight, so x is in the hull
+    iff c . x <= h(c) for all of them.  Built once per (family, entries)."""
     pts = tuple(weyl_orbit(family, entries))  # the module global, so tracing sees it
-    coords = list(zip(*pts))
-    return pts, tuple(map(min, coords)), tuple(map(max, coords))
+    nonzero = (c for c in product((1, 0, -1), repeat=len(entries)) if any(c))
+    directions = sorted(nonzero, key=lambda c: len(c) - c.count(0))
+    support = tuple((c, max(sum(map(mul, c, v)) for v in pts)) for c in directions)
+    return pts, support
 
 
 def _hull_problem(
     x: Coweight | Sequence[Scalar], mu: Coweight, weyl_cap: int
-) -> tuple[tuple[tuple[Vector, ...], Vector, Vector], Vector]:
-    """((orbit, minima, maxima), target) after checking the arguments."""
+) -> tuple[tuple[tuple[Vector, ...], tuple[tuple[Vector, int], ...]], Vector]:
+    """((orbit, support function), target) after checking the arguments."""
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")
     family = mu.kind.family
@@ -285,17 +292,7 @@ def _hull_problem(
         raise CapExceeded(
             f"Weyl group order {order} exceeds the cap {weyl_cap}"
         )
-    if isinstance(x, Coweight):
-        if x.kind != mu.kind:
-            raise MismatchError(f"kind mismatch: {x.kind} vs {mu.kind}")
-        target: Vector = x.entries
-    else:
-        target = tuple(x)
-        if len(target) != mu.kind.rank:
-            raise MismatchError(
-                f"expected {mu.kind.rank} entries, got {len(target)}"
-            )
-    return _orbit_problem(family, mu.entries), target
+    return _orbit_problem(family, mu.entries), coerce_vector(x, mu)
 
 
 def caratheodory_in_hull(
@@ -311,13 +308,15 @@ def caratheodory_in_hull(
     order relation, which is the point: this is the anti-bug oracle for
     :func:`coweights.core.in_hull`.
 
-    The orbit and its per-coordinate bounds are built once per μ and kept
-    in a bounded memo (``ORBIT_MEMO_SIZE`` entries); only the target is
-    scaled to integers, and the simplex stores no artificial columns.
+    The orbit and its support function are built once per μ and kept in a
+    bounded memo (``ORBIT_MEMO_SIZE`` entries).  An outside verdict carries
+    a separating functional: some ``c`` with ``c . x > h(c)``, checked
+    exactly on the integer-scaled target.  Every other point goes to the
+    simplex, whose convex combination :func:`_check_combination` re-derives.
     """
-    (pts, lows, highs), target = _hull_problem(x, mu, weyl_cap)
-    # cheap necessary conditions read off the explicit orbit
-    if not all(lo <= t <= hi for lo, t, hi in zip(lows, target, highs)):
+    (pts, support), target = _hull_problem(x, mu, weyl_cap)
+    den, scaled = _integer_target(target)
+    if any(sum(map(mul, c, scaled)) > den * h for c, h in support):
         return False
     return _solve_convex_combination(pts, target) is not None
 

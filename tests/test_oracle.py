@@ -14,6 +14,7 @@ from coweights import (
     Family,
     GroupKind,
     LeviShape,
+    MismatchError,
     Sector,
     SweepConfig,
     all_shapes,
@@ -131,6 +132,14 @@ class TestCaratheodory:
             [sys.executable, "-O", "-c", code], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_wrong_sector_raises(self):
+        """A coweight of the other D sector is rejected, as by ``in_hull``,
+        instead of being read in the wrong units."""
+        x, mu = coweight("D", (1, 1)), coweight("D", (3, 1), "half")
+        for check in (in_hull, caratheodory_in_hull, convex_combination_bruteforce):
+            with pytest.raises(MismatchError):
+                check(x, mu)
 
     def test_weyl_cap(self):
         mu = Coweight(GroupKind(Family.B, 5), (1, 0, 0, 0, 0))
