@@ -234,6 +234,24 @@ def _order_members(
 Emitted = tuple[dict[str, Any], list[str], bool]
 
 
+def _lattice_point(
+    family: Family, x_vec: tuple[Scalar, ...], sector: Sector
+) -> Coweight | None:
+    """``x_vec`` (in the units of ``sector``) as a lattice point of its own
+    sector, or None.  In family D that is all entries in Z or all in Z + 1/2:
+    doubled, all even or all odd."""
+    if family is not Family.D:
+        ints = all(isinstance(e, int) for e in x_vec)
+        return _coweight(family, x_vec, sector) if ints else None
+    doubled = [Fraction(e) * (1 if sector is Sector.HALF else 2) for e in x_vec]
+    parities = {e.numerator % 2 if e.denominator == 1 else None for e in doubled}
+    if parities == {0}:
+        return _coweight(family, tuple(e.numerator // 2 for e in doubled), Sector.INTEGRAL)
+    if parities == {1}:
+        return _coweight(family, tuple(e.numerator for e in doubled), Sector.HALF)
+    return None
+
+
 def cmd_check(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
     mu = _coweight(family, _parse_ints(args.mu), sector)
     if not is_dominant(mu):
@@ -242,11 +260,8 @@ def cmd_check(args: argparse.Namespace, family: Family, sector: Sector) -> Emitt
     if len(x_vec) != mu.kind.rank:
         raise ValueError("--x and --mu must have the same length")
 
-    integral = all(isinstance(e, int) for e in x_vec)
-    class_match: bool | None = None
-    if integral:
-        x_cw = _coweight(family, tuple(int(e) for e in x_vec), sector)
-        class_match = same_class_XG(x_cw, mu)
+    x_cw = _lattice_point(family, x_vec, sector)
+    class_match = None if x_cw is None else same_class_XG(x_cw, mu)
     members = _order_members(family, x_vec, mu.entries)
     order_ok = leq(x_vec, mu)
     hull_ok = in_hull(x_vec, mu)

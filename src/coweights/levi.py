@@ -253,7 +253,8 @@ def minuscule_lift(
     Each GL batch spreads its sum as evenly as possible in nonincreasing
     order (floor values with the remainder distributed as +1 steps); in the
     doubled sector the same recipe runs in steps of two over odd entries.
-    The orthogonal batch is the canonical representative of ``so_class``.
+    The orthogonal batch is the canonical representative of ``so_class``,
+    which must already be reduced: the sum mod 2, or mod 4 when doubled.
     """
     sums = tuple(sums)
     if len(sums) != shape.num_gl_batches:
@@ -291,13 +292,12 @@ def minuscule_lift(
         if so_class is None:
             raise PreconditionError("so_class required: shape has an "
                                     "orthogonal factor")
-        key = so_class % 4 if sector is Sector.HALF else so_class
-        if key not in reps:
+        if so_class not in reps:
             raise PreconditionError(
                 f"invalid so_class {so_class} for {shape} "
                 f"(valid: {sorted(reps)})"
             )
-        entries.extend(reps[key])
+        entries.extend(reps[so_class])
 
     return Coweight(shape.kind, tuple(entries), sector)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -102,7 +102,7 @@ def weyl_orbit(family: Family, entries: Sequence[Scalar]) -> list[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# Exact convex-combination search
+# Exact hull certificates
 # ---------------------------------------------------------------------------
 
 def _integer_target(target: Sequence[Scalar]) -> tuple[int, list[int]]:
@@ -113,97 +113,68 @@ def _integer_target(target: Sequence[Scalar]) -> tuple[int, list[int]]:
     return den, [e.numerator * (den // e.denominator) for e in exact]
 
 
-def _solve_convex_combination(
-    points: Sequence[Vector], target: Sequence[Scalar]
-) -> dict[int, Fraction] | None:
-    """Search bases of size <= dim+1 for an exact convex combination.
+def _face_descent(
+    points: Sequence[Vector], support: Sequence[tuple[Vector, int]],
+    den: int, scaled: Sequence[int],
+) -> dict[int, Fraction]:
+    """Weights of a convex combination of at most dim+1 ``points`` equal
+    to ``scaled / den``, read off the support function alone.
 
-    Phase-one simplex with Bland's rule and fraction-free integer pivoting:
-    every candidate support is a column basis of the system
-    (sum of weights = 1, weighted sum of points = target), solved exactly.
-    Returns the weights of a combination supported on at most dim+1 points,
-    or ``None`` when no convex combination exists.
-
-    Rows: the point coordinates times ``den`` (the lcm of the target's
-    denominators) and a row of ones, each negated where its right-hand side
-    is negative.  Revised form: row ``i`` of ``M`` is tableau row ``i`` in
-    the artificial columns plus its right-hand side, and every tableau row
-    is ``M`` times the initial rows (the objective adds ``denom`` times its
-    own).  So point ``p_j`` prices at ``w . p_j - bound``, both read off the
-    objective row, the row signs and ``den``; Bland enters the first ``j``
-    with ``w . p_j < bound``, and only that column is formed.  The pivots
-    are the full tableau's: ``M`` is its artificial block under the same
-    exact Bareiss step, and every scale factor is a positive pivot.
+    Carathéodory's construction in integers, the current point ``y / d``
+    in a face kept as the indices of its orbit points: walk from the
+    face's first point ``v`` through ``y / d`` to the first ``c . p = h(c)``
+    the ray meets (least ``a / b``, ``b = c . (y - d v) > 0``,
+    ``a = d h(c) - c . d v``, first ``c`` on a tie), give ``v`` the share
+    ``(a - b) / a`` and move to the exit point.  The face shrinks to its
+    points with ``c . p = h(c)``, a proper face (``a >= b > 0`` puts ``v``
+    off it), so the walk ends at a vertex within dim+1 steps.  If
+    ``support`` misses a facet normal, a ray can run unbounded or a face
+    empty: both raise :class:`ArithmeticError` instead of answering.
     """
-    m = len(points)
-    if m == 0:
-        return None
-    den, rhs = _integer_target(target)
-    n = len(rhs)
-    nrows = n + 1
-    signs = [-1 if b < 0 else 1 for b in rhs]
-    M = [[int(i == k) for k in range(nrows)] + [abs(b)]
-         for i, b in enumerate(rhs + [1])]
-    M.append([0] * nrows + [-sum(row[-1] for row in M)])
-
-    basis = list(range(m, m + nrows))
-    denom = 1
-    while True:
-        obj = M[nrows]
-        w = [(a - denom) * s * den for a, s in zip(obj, signs)]
-        bound = denom - obj[n]
-        q = next(
-            (j for j, pt in enumerate(points) if sum(map(mul, w, pt)) < bound), -1
-        )
-        if q < 0:
-            break
-        entering = [s * den * e for s, e in zip(signs, points[q])] + [1]
-        # map stops at the shorter list, before each row's right-hand side
-        col = [sum(map(mul, row, entering)) for row in M[:nrows]]
-        col.append(sum(map(mul, w, points[q])) - bound)
-        p = -1
-        for i in range(nrows):
-            if col[i] <= 0:
-                continue
-            if p < 0:
-                p = i
-                continue
-            left = M[i][-1] * col[p]
-            right = M[p][-1] * col[i]
-            if left < right or (left == right and basis[i] < basis[p]):
-                p = i
-        if p < 0:
-            return None
-        prow = M[p]
-        pivot = col[p]
-        for i in range(nrows + 1):
-            if i != p:
-                coeff = col[i]
-                M[i] = [(a * pivot - coeff * b) // denom for a, b in zip(M[i], prow)]
-        basis[p] = q
-        denom = pivot
-
-    if M[nrows][-1] != 0:
-        return None
-    weights = {
-        basis[i]: Fraction(M[i][-1], denom)
-        for i in range(nrows) if basis[i] < m and M[i][-1]
-    }
-    _check_combination(points, target, weights)
-    return weights
+    y, d = list(scaled), den
+    face = list(range(len(points)))
+    mass = Fraction(1)
+    weights: dict[int, Fraction] = {}
+    while face:
+        k = face[0]
+        dv = [d * e for e in points[k]]
+        if y == dv:
+            weights[k] = mass
+            return weights
+        step = [p - q for p, q in zip(y, dv)]
+        a = b = 0
+        for c, h in support:
+            rise = sum(map(mul, c, step))
+            if rise > 0:
+                room = d * h - sum(map(mul, c, dv))
+                if not b or room * b < a * rise:
+                    a, b, normal, top = room, rise, c, h
+        if not b:
+            raise ArithmeticError(f"no direction bounds the ray from {points[k]}")
+        if a != b:
+            weights[k] = mass * (a - b) / a
+        mass = mass * b / a
+        y = [b * e + a * s for e, s in zip(dv, step)]
+        g = gcd(b * d, *y)
+        y, d = [e // g for e in y], b * d // g
+        face = [j for j in face if sum(map(mul, normal, points[j])) == top]
+    raise ArithmeticError(f"the face descent to {list(scaled)}/{den} ran out of points")
 
 
 def _check_combination(
     points: Sequence[Vector], target: Sequence[Scalar], weights: dict[int, Fraction]
 ) -> None:
-    """Re-derive a combination exactly before trusting it; raise if it is wrong."""
-    target = tuple(target)
-    if sum(weights.values()) != 1 or any(
-        sum(w * Fraction(points[idx][coord]) for idx, w in weights.items())
-        != Fraction(target[coord])
-        for coord in range(len(target))
+    """Re-derive a convex combination exactly before trusting it; raise if
+    it is wrong.  In integers: the weights over the lcm of their denominators."""
+    common = lcm(*(w.denominator for w in weights.values()))
+    num = {i: w.numerator * (common // w.denominator) for i, w in weights.items()}
+    exact = [Fraction(e) for e in target]
+    if any(s < 0 for s in num.values()) or sum(num.values()) != common or any(
+        sum(s * points[i][coord] for i, s in num.items()) * e.denominator
+        != e.numerator * common
+        for coord, e in enumerate(exact)
     ):
-        raise ArithmeticError(f"weights {weights} do not combine to {target}")
+        raise ArithmeticError(f"weights {weights} do not combine to {tuple(target)}")
 
 
 def _solve_support_weights(
@@ -252,7 +223,7 @@ def convex_combination_bruteforce(
     """Literal support search: try every orbit subset of size <= rank+1.
 
     Exponentially slower than :func:`caratheodory_in_hull` but a direct
-    transcription of the definition; used to cross-check the simplex path.
+    transcription of the definition; used to cross-check the face descent.
     """
     (pts, _), target = _hull_problem(x, mu, weyl_cap)
     dim = len(target)
@@ -272,7 +243,9 @@ def _orbit_problem(
     ``(c, h(c) = max of c . v over the orbit)`` for every ``c`` in
     {-1, 0, 1}^n except 0, unit vectors first.  They include a multiple of
     each Weyl conjugate of each fundamental coweight, so x is in the hull
-    iff c . x <= h(c) for all of them.  Built once per (family, entries)."""
+    iff c . x <= h(c) for all of them: the pairs are a complete
+    H-description, which :func:`_face_descent` walks for inside
+    certificates.  Built once per (family, entries)."""
     pts = tuple(weyl_orbit(family, entries))  # the module global, so tracing sees it
     nonzero = (c for c in product((1, 0, -1), repeat=len(entries)) if any(c))
     directions = sorted(nonzero, key=lambda c: len(c) - c.count(0))
@@ -301,24 +274,26 @@ def caratheodory_in_hull(
     *,
     weyl_cap: int = DEFAULT_WEYL_CAP,
 ) -> bool:
-    """Hull membership by exhibiting an exact convex combination.
+    """Hull membership, certified either way from the orbit's support function.
 
-    Enumerates the orbit explicitly and searches supports of size at most
-    rank+1 via exact simplex.  Completely independent of the prefix-sum
-    order relation, which is the point: this is the anti-bug oracle for
-    :func:`coweights.core.in_hull`.
+    Enumerates the orbit explicitly; completely independent of the
+    prefix-sum order relation, which is the point: this is the anti-bug
+    oracle for :func:`coweights.core.in_hull`.
 
     The orbit and its support function are built once per μ and kept in a
     bounded memo (``ORBIT_MEMO_SIZE`` entries).  An outside verdict carries
     a separating functional: some ``c`` with ``c . x > h(c)``, checked
-    exactly on the integer-scaled target.  Every other point goes to the
-    simplex, whose convex combination :func:`_check_combination` re-derives.
+    exactly on the integer-scaled target.  An inside verdict carries a
+    convex combination of at most rank+1 orbit points, built by
+    :func:`_face_descent` and re-derived by :func:`_check_combination`;
+    either raises :class:`ArithmeticError` rather than answer wrongly.
     """
     (pts, support), target = _hull_problem(x, mu, weyl_cap)
     den, scaled = _integer_target(target)
     if any(sum(map(mul, c, scaled)) > den * h for c, h in support):
         return False
-    return _solve_convex_combination(pts, target) is not None
+    _check_combination(pts, target, _face_descent(pts, support, den, scaled))
+    return True
 
 
 # ---------------------------------------------------------------------------

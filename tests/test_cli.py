@@ -64,6 +64,27 @@ class TestCheck:
         assert labels == ["S_1-x_2", "S_2"]
         assert record["ok"] is True
 
+    @pytest.mark.parametrize("mu, x, sector, class_match, code", [
+        ("3,1", "2,0", "half", False, 1),  # doubled (2, 0) is the integral (1, 0)
+        ("3,1", "2,1", "half", None, 0),  # (1, 1/2): no lattice point
+        ("2,0", "1/2,1/2", "integral", False, 1),  # a point of the half sector
+        ("3,1", "1,1", "half", False, 1),  # (1/2, 1/2): same sector, other class
+        ("3,1", "1,3", "half", True, 0),
+    ])
+    def test_family_d_lattice_point_of_either_sector(
+        self, mu, x, sector, class_match, code
+    ):
+        """A family-D x whose entries are all in Z or all in Z + 1/2 is a
+        lattice point of its own sector, and the class check decides."""
+        proc = run_cli(
+            "check", "--family", "D", "--sector", sector, "--mu", mu, "--x", x,
+            "--format", "json",
+        )
+        assert proc.returncode == code, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["class_match"] is class_match
+        assert record["in_hull"] is True
+
 
 class TestEta:
     def test_walkthrough_json(self):
@@ -157,6 +178,17 @@ class TestSmallCommands:
         )
         record = json.loads(proc.stdout)
         assert record["lift"] == [2, 1, 1]
+
+    def test_lift_unreduced_half_so_class_exits_two(self):
+        """A half-sector orthogonal class must be reduced mod 4, as the
+        integral one must be mod 2; 6 is not echoed as the class 2."""
+        proc = run_cli(
+            "lift", "--family", "D", "--sector", "half", "--rank", "3",
+            "--shape", "1;2", "--sums", "1", "--so-class", "6",
+        )
+        assert proc.returncode == 2
+        assert "invalid so_class 6" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestVerify:

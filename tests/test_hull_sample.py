@@ -1,6 +1,7 @@
 """The exact hull oracle past the acceptance grid: the benchmark's rank-3/4
-sample against the full-tableau simplex kept here as the reference, the
-per-μ orbit memo, and targets that are not all ``int`` or ``Fraction``.
+sample against the full-tableau simplex kept here as an independent LP
+reference, the face-descent certificates, the per-μ orbit memo, and
+targets that are not all ``int`` or ``Fraction``.
 
 The sample comes from ``perfbench/probe.py`` and its verdict digest from
 ``perfbench/ref/hull_oracle.json``; both are only read.
@@ -8,6 +9,7 @@ The sample comes from ``perfbench/probe.py`` and its verdict digest from
 
 import importlib.util
 import json
+import random
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
@@ -30,8 +32,9 @@ def _load(name):
 
 
 def _tableau_reference(points, target):
-    """The full-tableau form of ``oracle._solve_convex_combination``, kept
-    as its reference: every row orbit-wide, rewritten on every pivot."""
+    """A phase-one simplex (Bland's rule, fraction-free pivots) over the
+    full tableau, every row orbit-wide: the oracle's former LP, kept as an
+    independent reference.  ``None`` when no convex combination exists."""
     exact = [Fraction(e) for e in target]
     den = lcm(*(e.denominator for e in exact))
     rows = [[e * den for e in coord] for coord in zip(*points)]
@@ -84,26 +87,48 @@ def _tableau_reference(points, target):
     return weights
 
 
+def _certifies(points, weights, x, most):
+    """Whether ``weights`` puts positive weight on at most ``most`` distinct
+    ``points`` and recombines exactly to ``x``, re-derived from scratch."""
+    chosen = [points[k] for k in weights]
+    return (
+        len(set(chosen)) == len(chosen) <= most
+        and all(w > 0 for w in weights.values())
+        and sum(weights.values()) == 1
+        and all(
+            sum(w * points[k][j] for k, w in weights.items()) == Fraction(e)
+            for j, e in enumerate(x)
+        )
+    )
+
+
+def _count_descents(monkeypatch):
+    """Route ``oracle._face_descent`` through a recorder of (points, weights)."""
+    descend = oracle._face_descent
+    reached = []
+
+    def counted(points, support, den, scaled):
+        reached.append((points, descend(points, support, den, scaled)))
+        return reached[-1][1]
+
+    monkeypatch.setattr(oracle, "_face_descent", counted)
+    return reached
+
+
 def test_benchmark_sample_matches_in_hull_and_reference(monkeypatch):
     """Seed 0 of the benchmark sample, all 3600 points at ranks 3-4.
 
     ``caratheodory_in_hull`` agrees with ``in_hull`` and with the committed
-    digest.  It reaches the simplex once per inside point and never for an
-    outside point, so the support functionals decide every outside point.
-    The simplex on its own returns ``None`` exactly on the outside points,
-    and on every 4th point its weights equal the full-tableau reference's.
+    digest.  It reaches the face descent once per inside point and never
+    for an outside point, so the support functionals decide every outside
+    point.  Every certificate has at most rank+1 distinct orbit points,
+    positive weights, and recombines exactly to x.  On every 4th point the
+    full-tableau simplex finds no combination exactly on the outside points.
     """
-    solve = oracle._solve_convex_combination
-    reached = []
-
-    def counted(points, target):
-        reached.append(solve(points, target))
-        return reached[-1]
-
-    monkeypatch.setattr(oracle, "_solve_convex_combination", counted)
+    reached = _count_descents(monkeypatch)
     sample = _load("probe").hull_sample(0)
     verdicts = []
-    disagree, wrong_reach, wrong_none, wrong_weights = [], [], [], []
+    disagree, wrong_reach, wrong_certificate, wrong_reference = [], [], [], []
     for i, (mu, x) in enumerate(sample):
         before = len(reached)
         exact = caratheodory_in_hull(x, mu)
@@ -113,20 +138,51 @@ def test_benchmark_sample_matches_in_hull_and_reference(monkeypatch):
             disagree.append(i)
         if len(reached) - before != inside:
             wrong_reach.append(i)
-        orbit = oracle._orbit_problem(mu.kind.family, mu.entries)[0]
-        weights = reached[-1] if len(reached) > before else solve(orbit, x)
-        if (weights is None) == inside:
-            wrong_none.append(i)
-        if i % 4 == 0 and weights != _tableau_reference(orbit, x):
-            wrong_weights.append(i)
+        elif inside and not _certifies(*reached[-1], x, mu.kind.rank + 1):
+            wrong_certificate.append(i)
+        if i % 4 == 0:
+            orbit = oracle._orbit_problem(mu.kind.family, mu.entries)[0]
+            if (_tableau_reference(orbit, x) is None) == inside:
+                wrong_reference.append(i)
     assert disagree == []
     assert wrong_reach == []
-    assert wrong_none == []
-    assert wrong_weights == []
+    assert wrong_certificate == []
+    assert wrong_reference == []
     reference = json.loads((PERFBENCH / "ref" / "hull_oracle.json").read_text())
     assert len(sample) == reference["points"]
     digest = _load("common").verdict_digest("".join(verdicts))
     assert digest == reference["digests"]["0"]
+
+
+def test_b5_reach(monkeypatch):
+    """Past the default Weyl cap: seeded rational points at B5, μ =
+    (2,1,1,0,0) (|W| = 3840, a 240-point orbit), agree with ``in_hull``,
+    and each inside point carries a certificate of at most 6 points."""
+    reached = _count_descents(monkeypatch)
+    mu = coweight("B", (2, 1, 1, 0, 0))
+    rng = random.Random(5)
+    inside_count = 0
+    for _ in range(50):
+        x = tuple(Fraction(rng.randint(-6, 6), 4) for _ in range(5))
+        before = len(reached)
+        inside = in_hull(x, mu)
+        assert caratheodory_in_hull(x, mu, weyl_cap=3840) is inside, x
+        assert len(reached) - before == inside, x
+        if inside:
+            inside_count += 1
+            assert _certifies(*reached[-1], x, 6), x
+    assert 0 < inside_count < 50
+
+
+def test_incomplete_support_raises():
+    """The descent trusts its support function to hold every facet normal;
+    when one is missing it raises instead of answering.  Without x + y <= 2
+    the point (2, 2) passes both given bounds and its face runs out of
+    points; with only x <= 1 the ray from (0, 0) up to (0, 1) is unbounded."""
+    with pytest.raises(ArithmeticError):
+        oracle._face_descent([(0, 2), (2, 0)], [((1, 0), 2), ((0, 1), 2)], 1, [2, 2])
+    with pytest.raises(ArithmeticError):
+        oracle._face_descent([(0, 0), (1, 0)], [((1, 0), 1)], 1, [0, 1])
 
 
 def test_orbit_built_once_per_mu(monkeypatch):
@@ -176,11 +232,11 @@ def test_float_and_mixed_targets(x, mu, inside):
 
 
 def test_mixed_target_certificate():
-    orbit = oracle.weyl_orbit(B110.kind.family, B110.entries)
-    weights = oracle._solve_convex_combination(orbit, (1, Fraction(1, 3), 0.5))
+    orbit, support = oracle._orbit_problem(B110.kind.family, B110.entries)
+    target = (1, Fraction(1, 3), 0.5)
+    weights = oracle._face_descent(orbit, support, *oracle._integer_target(target))
     assert {orbit[k]: w for k, w in weights.items()} == {
-        (1, 0, -1): Fraction(1, 12),
-        (1, 1, 0): Fraction(1, 3),
-        (1, 0, 1): Fraction(7, 12),
+        (1, -1, 0): Fraction(1, 12),
+        (1, 0, 1): Fraction(1, 2),
+        (1, 1, 0): Fraction(5, 12),
     }
-

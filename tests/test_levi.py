@@ -192,6 +192,13 @@ class TestMinusculeLift:
         with pytest.raises(PreconditionError):
             minuscule_lift(shape, (), 1, Sector.HALF)
 
+    @pytest.mark.parametrize("so_class", [6, -2, 4])
+    def test_half_sector_so_class_not_reduced(self, so_class):
+        """Only the keys 0 and 2 name a class; 6 and -2 are not read mod 4."""
+        shape = LeviShape(_kind(Family.D, 3), (1,), 2)
+        with pytest.raises(PreconditionError):
+            minuscule_lift(shape, (1,), so_class, Sector.HALF)
+
     @pytest.mark.parametrize("family,sector", FAMILY_SECTORS)
     def test_class_of_inverts_lift(self, family, sector):
         """class_of after minuscule_lift returns the input class data."""

@@ -116,6 +116,12 @@ class TestCaratheodory:
             with pytest.raises(ArithmeticError):
                 _check_combination(points, (1, 1), weights)
 
+    def test_negative_weight_raises(self):
+        """An affine combination that hits the target is not a convex one."""
+        weights = {0: Fraction(-1, 2), 1: Fraction(3, 2)}
+        with pytest.raises(ArithmeticError):
+            _check_combination([(0, 0), (2, 2)], (3, 3), weights)
+
     def test_wrong_combination_raises_under_optimize(self):
         """Under ``python -O`` the re-check still raises on wrong weights."""
         code = (
