@@ -45,10 +45,11 @@ from .core import (
     PreconditionError,
     Scalar,
     Sector,
+    coweight,
     in_hull,
     is_dominant,
     leq,
-    prefix_sums,
+    order_rows,
     same_class_XG,
     weyl_orbit_equivalent,
     ShapeError,
@@ -118,10 +119,6 @@ def _parse_shape(text: str, kind: GroupKind) -> LeviShape:
     gl = tuple(int(p) for p in gl_text.split(",") if p != "")
     so = int(so_text) if so_text else 0
     return LeviShape(kind, gl, so)
-
-
-def _coweight(family: Family, entries: tuple[int, ...], sector: Sector) -> Coweight:
-    return Coweight(GroupKind(family, len(entries)), entries, sector)
 
 
 # ---------------------------------------------------------------------------
@@ -199,33 +196,21 @@ class _Writer:
 def _order_members(
     family: Family, x: Sequence[Scalar], mu: Sequence[Scalar]
 ) -> list[dict[str, Any]]:
-    """The individual inequalities of the order relation, with both sides."""
+    """The rows of the order relation (:func:`order_rows`), with both sides."""
     n = len(mu)
-    sx, sm = prefix_sums(x), prefix_sums(mu)
+    labels = [f"S_{k}" for k in range(1, n + 1)]
+    if family is Family.D:
+        labels[n - 2] = f"S_{n - 1}-x_{n}"
     members = []
-
-    def add(label: str, lhs: Scalar, rhs: Scalar, equality: bool = False) -> None:
-        ok = lhs == rhs if equality else lhs <= rhs
+    for k, (label, lhs, rhs) in enumerate(zip(labels, *order_rows(family, x, mu)), 1):
+        equality = family is Family.A and k == n
         members.append({
             "label": label,
             "lhs": _scalar_json(lhs),
             "rhs": _scalar_json(rhs),
             "relation": "==" if equality else "<=",
-            "ok": ok,
+            "ok": lhs == rhs if equality else lhs <= rhs,
         })
-
-    if family is Family.A:
-        for i in range(n - 1):
-            add(f"S_{i + 1}", sx[i], sm[i])
-        add(f"S_{n}", sx[-1], sm[-1], equality=True)
-    elif family is Family.B:
-        for i in range(n):
-            add(f"S_{i + 1}", sx[i], sm[i])
-    else:
-        for i in range(n - 2):
-            add(f"S_{i + 1}", sx[i], sm[i])
-        add(f"S_{n - 1}-x_{n}", sx[n - 2] - x[n - 1], sm[n - 2] - mu[n - 1])
-        add(f"S_{n}", sx[-1], sm[-1])
     return members
 
 
@@ -238,22 +223,19 @@ def _lattice_point(
     family: Family, x_vec: tuple[Scalar, ...], sector: Sector
 ) -> Coweight | None:
     """``x_vec`` (in the units of ``sector``) as a lattice point of its own
-    sector, or None.  In family D that is all entries in Z or all in Z + 1/2:
-    doubled, all even or all odd."""
-    if family is not Family.D:
-        ints = all(isinstance(e, int) for e in x_vec)
-        return _coweight(family, x_vec, sector) if ints else None
+    sector, or None, decided by denominators: all entries in Z, or in
+    family D all in Z + 1/2.  Doubled, that is all even or all odd."""
     doubled = [Fraction(e) * (1 if sector is Sector.HALF else 2) for e in x_vec]
     parities = {e.numerator % 2 if e.denominator == 1 else None for e in doubled}
     if parities == {0}:
-        return _coweight(family, tuple(e.numerator // 2 for e in doubled), Sector.INTEGRAL)
-    if parities == {1}:
-        return _coweight(family, tuple(e.numerator for e in doubled), Sector.HALF)
+        return coweight(family, tuple(e.numerator // 2 for e in doubled), Sector.INTEGRAL)
+    if parities == {1} and family is Family.D:
+        return coweight(family, tuple(e.numerator for e in doubled), Sector.HALF)
     return None
 
 
 def cmd_check(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
-    mu = _coweight(family, _parse_ints(args.mu), sector)
+    mu = coweight(family, _parse_ints(args.mu), sector)
     if not is_dominant(mu):
         raise ValueError(f"--mu {args.mu} is not dominant")
     x_vec = _parse_rationals(args.x)
@@ -292,7 +274,7 @@ def cmd_check(args: argparse.Namespace, family: Family, sector: Sector) -> Emitt
 
 
 def cmd_class(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
-    x = _coweight(family, _parse_ints(args.x), sector)
+    x = coweight(family, _parse_ints(args.x), sector)
     shape = _parse_shape(args.shape, x.kind)
     cls = class_of(shape, x)
     fields = {"shape": str(shape), "x": list(x.entries), **_class_json(cls)}
@@ -305,7 +287,7 @@ def cmd_class(args: argparse.Namespace, family: Family, sector: Sector) -> Emitt
 
 
 def cmd_project(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
-    x = _coweight(family, _parse_ints(args.x), sector)
+    x = coweight(family, _parse_ints(args.x), sector)
     shape = _parse_shape(args.shape, x.kind)
     point = project(shape, x)
     fields = {
@@ -335,7 +317,7 @@ def cmd_lift(args: argparse.Namespace, family: Family, sector: Sector) -> Emitte
 
 
 def cmd_eta(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
-    nu = _coweight(family, _parse_ints(args.nu), sector)
+    nu = coweight(family, _parse_ints(args.nu), sector)
     shape = _parse_shape(args.shape, nu.kind)
     fields: dict[str, Any] = {"shape": str(shape), "nu": list(nu.entries)}
     try:
@@ -372,7 +354,7 @@ def cmd_eta(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted
 
 
 def cmd_pmu(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
-    mu = _coweight(family, _parse_ints(args.mu), sector)
+    mu = coweight(family, _parse_ints(args.mu), sector)
     points = sorted(
         enumerate_Pmu(mu, rank_cap=args.max_rank_cap), key=lambda c: c.entries
     )
@@ -462,7 +444,7 @@ def _run_instances(
 
 def cmd_verify(args: argparse.Namespace, family: Family, sector: Sector) -> int:
     if args.shape and args.mu:
-        mu = _coweight(family, _parse_ints(args.mu), sector)
+        mu = coweight(family, _parse_ints(args.mu), sector)
         shape = _parse_shape(args.shape, mu.kind)
         if not is_dominant(mu):
             raise ValueError(f"--mu {args.mu} is not dominant")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
+from operator import le
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -182,52 +183,43 @@ def dominant_representative(x: Coweight) -> Coweight:
 
 
 def weyl_orbit_equivalent(x: Coweight, y: Coweight) -> bool:
-    """Whether ``x`` and ``y`` lie in the same Weyl orbit."""
+    """Whether ``x`` and ``y`` lie in the same Weyl orbit: same sector and
+    the same dominant representative (the orbit's unique dominant element)."""
     if x.kind != y.kind:
         raise MismatchError(f"kind mismatch: {x.kind} vs {y.kind}")
-    if x.sector is not y.sector:
-        return False
     family = x.kind.family
-    if family is Family.A:
-        return sorted(x.entries) == sorted(y.entries)
-    if sorted(map(abs, x.entries)) != sorted(map(abs, y.entries)):
-        return False
-    if family is Family.B:
-        return True
-    if 0 in x.entries:  # a zero coordinate absorbs any sign-flip parity
-        return True
-    neg_x = sum(1 for e in x.entries if e < 0)
-    neg_y = sum(1 for e in y.entries if e < 0)
-    return neg_x % 2 == neg_y % 2
+    return x.sector is y.sector and (
+        _vec_dominant_rep(family, x.entries) == _vec_dominant_rep(family, y.entries)
+    )
 
 
 # ---------------------------------------------------------------------------
 # The partial order and hull membership
 # ---------------------------------------------------------------------------
 
-def _vec_leq(family: Family, x: Sequence[Scalar], m: Sequence[Scalar]) -> bool:
-    """Fundamental-weight inequalities of ``x <= m`` on raw vectors.
+def order_rows(
+    family: Family, x: Sequence[Scalar], m: Sequence[Scalar]
+) -> tuple[list[Scalar], list[Scalar]]:
+    """Both sides of the order's inequality rows, row k pairing with the
+    fundamental coweight omega_k: the prefix sums S_k.
 
-    Family A: prefix sums never exceed and total sums agree (the total-sum
-    equality is the coroot-span constraint, which is vacuous for B and D).
-    Family B: all prefix sums never exceed.
-    Family D: prefix sums through n-2 never exceed, plus the two spin
-    conditions S_{n-1}(x) - x_n <= S_{n-1}(m) - m_n and S_n(x) <= S_n(m).
+    Family D pairs row n-1 with its spin weight instead, so that row reads
+    S_{n-1} - x_n.  ``x <= m`` is row k of ``x`` at most row k of ``m`` for
+    every k, with equality on row n in family A (the coroot span).
     """
-    n = len(m)
-    sx = prefix_sums(x)
-    sm = prefix_sums(m)
-    if family is Family.A:
-        if sx[-1] != sm[-1]:
-            return False
-        return all(sx[i] <= sm[i] for i in range(n - 1))
-    if family is Family.B:
-        return all(sx[i] <= sm[i] for i in range(n))
-    if any(sx[i] > sm[i] for i in range(n - 2)):
+    rows_x, rows_m = list(accumulate(x)), list(accumulate(m))
+    if family is Family.D:
+        rows_x[-2] -= x[-1]
+        rows_m[-2] -= m[-1]
+    return rows_x, rows_m
+
+
+def _vec_leq(family: Family, x: Sequence[Scalar], m: Sequence[Scalar]) -> bool:
+    """``x <= m`` on raw vectors, row by row (:func:`order_rows`)."""
+    rows_x, rows_m = order_rows(family, x, m)
+    if family is Family.A and rows_x[-1] != rows_m[-1]:
         return False
-    if sx[n - 2] - x[n - 1] > sm[n - 2] - m[n - 1]:
-        return False
-    return sx[n - 1] <= sm[n - 1]
+    return all(map(le, rows_x, rows_m))
 
 
 def coerce_vector(x: Coweight | Sequence[Scalar], mu: Coweight) -> Vector:

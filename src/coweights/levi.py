@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .core import (
@@ -28,7 +29,7 @@ from .core import (
     Sector,
     ShapeError,
     is_dominant,
-    prefix_sums,
+    order_rows,
     vec_is_dominant,
 )
 
@@ -149,11 +150,7 @@ class XMClass:
 
     @property
     def so_class(self) -> int | None:
-        if self.shape.so_rank == 0:
-            return None
-        total = sum(self.canonical_lift.entries[self.shape.so_slice])
-        modulus = 4 if self.canonical_lift.sector is Sector.HALF else 2
-        return total % modulus
+        return _so_class(self.shape, self.canonical_lift)
 
     def sort_key(self) -> tuple[int, ...]:
         return self.canonical_lift.entries
@@ -187,23 +184,13 @@ def has_dominant_projection(shape: LeviShape, x: Coweight) -> bool:
 
 
 def is_M_dominant(shape: LeviShape, x: Coweight) -> bool:
-    """Dominance for the Levi: each GL batch nonincreasing, and the
-    orthogonal batch dominant for its own factor."""
+    """Dominance for the Levi: each GL batch dominant for GL (nonincreasing),
+    and the orthogonal batch dominant for its own factor."""
     _check_compatible(shape, x)
     e = x.entries
-    for sl in shape.gl_slices:
-        batch = e[sl]
-        if any(batch[i] < batch[i + 1] for i in range(len(batch) - 1)):
-            return False
-    j = shape.so_rank
-    if j == 0:
-        return True
-    so = e[shape.so_slice]
-    if any(so[i] < so[i + 1] for i in range(j - 1)):
-        return False
-    if shape.kind.family is Family.B:
-        return so[-1] >= 0
-    return so[-2] + so[-1] >= 0  # family D has j != 1, so j >= 2 here
+    return all(vec_is_dominant(Family.A, e[sl]) for sl in shape.gl_slices) and (
+        shape.so_rank == 0 or vec_is_dominant(shape.kind.family, e[shape.so_slice])
+    )
 
 
 def is_M_minuscule(shape: LeviShape, x: Coweight) -> bool:
@@ -239,6 +226,22 @@ def _so_class_reps(
         minus = (1,) * (j - 1) + (-1,)
         return {sum(plus) % 4: plus, sum(minus) % 4: minus}
     return {0: (0,) * j, 1: (1,) + (0,) * (j - 1)}
+
+
+def so_classes(shape: LeviShape, sector: Sector) -> list[int | None]:
+    """The orthogonal classes of the shape, in increasing order; ``[None]``
+    without an orthogonal factor."""
+    if shape.so_rank == 0:
+        return [None]
+    return sorted(_so_class_reps(shape.kind.family, shape.so_rank, sector))
+
+
+def _so_class(shape: LeviShape, x: Coweight) -> int | None:
+    """The class of ``x``'s orthogonal batch: its sum mod 2, or mod 4 when
+    doubled; ``None`` without an orthogonal factor."""
+    if shape.so_rank == 0:
+        return None
+    return sum(x.entries[shape.so_slice]) % (4 if x.sector is Sector.HALF else 2)
 
 
 def minuscule_lift(
@@ -312,11 +315,7 @@ def class_of(shape: LeviShape, x: Coweight) -> XMClass:
     """
     _check_compatible(shape, x)
     sums = tuple(sum(x.entries[sl]) for sl in shape.gl_slices)
-    so_class: int | None = None
-    if shape.so_rank:
-        total = sum(x.entries[shape.so_slice])
-        so_class = total % (4 if x.sector is Sector.HALF else 2)
-    return XMClass(shape, minuscule_lift(shape, sums, so_class, x.sector))
+    return XMClass(shape, minuscule_lift(shape, sums, _so_class(shape, x), x.sector))
 
 
 def leq_batch_ends(shape: LeviShape, beta: LeviPoint, mu: Coweight) -> bool:
@@ -327,10 +326,15 @@ def leq_batch_ends(shape: LeviShape, beta: LeviPoint, mu: Coweight) -> bool:
     relation only at the end of each batch is equivalent to the full check:
     the remaining inequalities pair against weights fixed by the Levi.
 
-    Family A checks prefix sums at batch ends k < r plus total-sum
-    equality.  Family B checks batch ends k <= r.  Family D checks batch
-    ends through position n-2, the total sum, and, when the shape is all
-    GL blocks with a trailing size-1 block, the spin inequality at n-1.
+    One rule for every family: the rows of :func:`coweights.core.order_rows`
+    at the GL batch ends sigma(1), ..., sigma(r).  Family A first requires
+    equal total sums (the coroot span).  In family D a batch ending at n-1
+    is checked on the spin row S_{n-1} - x_n.  The total row S_n is no
+    batch end when the orthogonal factor has rank j >= 2, and it follows
+    from the row at sigma(r) = n-j (or is 0 <= S_n(mu) when r = 0): beta
+    vanishes on that batch, so S_n(beta) = S_{n-j}(beta), while
+    S_n(mu) >= S_{n-j}(mu) because the last j >= 2 entries of a dominant
+    ``mu`` sum to at least mu_{n-1} + mu_n >= 0.
     """
     if shape.kind != mu.kind:
         raise MismatchError(f"kind mismatch: shape {shape.kind} vs {mu.kind}")
@@ -339,40 +343,13 @@ def leq_batch_ends(shape: LeviShape, beta: LeviPoint, mu: Coweight) -> bool:
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")
 
-    expanded = beta.expand()
-    sb = prefix_sums(expanded)
-    sm = prefix_sums(mu.entries)
-    family = shape.kind.family
-    n = shape.kind.rank
-    r = shape.num_gl_batches
-
-    if family is Family.A:
-        if sb[-1] != sm[-1]:
-            raise PreconditionError(
-                "family A requires equal total sums (coroot span): "
-                f"{sb[-1]} vs {sm[-1]}"
-            )
-        return all(
-            sb[shape.sigma(k) - 1] <= sm[shape.sigma(k) - 1]
-            for k in range(1, r)
+    rows_b, rows_m = order_rows(shape.kind.family, beta.expand(), mu.entries)
+    if shape.kind.family is Family.A and rows_b[-1] != rows_m[-1]:
+        raise PreconditionError(
+            "family A requires equal total sums (coroot span): "
+            f"{rows_b[-1]} vs {rows_m[-1]}"
         )
-
-    if family is Family.B:
-        return all(
-            sb[shape.sigma(k) - 1] <= sm[shape.sigma(k) - 1]
-            for k in range(1, r + 1)
-        )
-
-    for k in range(1, r + 1):
-        end = shape.sigma(k)
-        if end <= n - 2 and sb[end - 1] > sm[end - 1]:
-            return False
-    if sb[-1] > sm[-1]:
-        return False
-    if shape.so_rank == 0 and shape.gl_sizes[-1] == 1:
-        if sb[n - 2] - expanded[n - 1] > sm[n - 2] - mu.entries[n - 1]:
-            return False
-    return True
+    return all(rows_b[end - 1] <= rows_m[end - 1] for end in accumulate(shape.gl_sizes))
 
 
 # ---------------------------------------------------------------------------

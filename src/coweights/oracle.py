@@ -58,6 +58,7 @@ from .levi import (
     leq_batch_ends,
     minuscule_lift,
     project,
+    so_classes,
 )
 from .reorder import check_batch_order, dominant_reordering
 
@@ -366,15 +367,6 @@ def _batch_sum_range(size: int, bound: int, sector: Sector) -> range:
     return range(start, bound + 1, 2)
 
 
-def _so_classes(shape: LeviShape, sector: Sector) -> list[int | None]:
-    if shape.so_rank == 0:
-        return [None]
-    if sector is Sector.HALF:
-        j = shape.so_rank
-        return sorted({j % 4, (j - 2) % 4})
-    return [0, 1]
-
-
 def valid_lifts(
     shape: LeviShape, sector: Sector, entry_bound: int
 ) -> Iterator[Coweight]:
@@ -384,8 +376,9 @@ def valid_lifts(
         _batch_sum_range(size, size * entry_bound, sector)
         for size in shape.gl_sizes
     ]
+    classes = so_classes(shape, sector)
     for sums in product(*ranges):
-        for so_class in _so_classes(shape, sector):
+        for so_class in classes:
             yield minuscule_lift(shape, sums, so_class, sector)
 
 

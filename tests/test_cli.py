@@ -64,6 +64,48 @@ class TestCheck:
         assert labels == ["S_1-x_2", "S_2"]
         assert record["ok"] is True
 
+    @pytest.mark.parametrize("family, mu, x, rows", [
+        ("D", "3,2,1,-1", "2,2,1,1/2", [
+            ("S_1", 2, 3, "<=", True), ("S_2", 4, 5, "<=", True),
+            ("S_3-x_4", "9/2", 7, "<=", True), ("S_4", "11/2", 5, "<=", False),
+        ]),
+        ("A", "2,1,0", "3/2,1,1/2", [
+            ("S_1", "3/2", 2, "<=", True), ("S_2", "5/2", 3, "<=", True),
+            ("S_3", 3, 3, "==", True),
+        ]),
+        ("A", "2,1,0", "3,0,1", [
+            ("S_1", 3, 2, "<=", False), ("S_2", 3, 3, "<=", True),
+            ("S_3", 4, 3, "==", False),
+        ]),
+    ])
+    def test_inequality_rows(self, family, mu, x, rows):
+        """Each row's label, both sides, relation and verdict: family D
+        replaces row n-1 by S_{n-1}-x_n, and family A's row n is ``==``."""
+        proc = run_cli(
+            "check", "--family", family, "--mu", mu, "--x", x, "--format", "json",
+        )
+        record = json.loads(proc.stdout)
+        assert [
+            (m["label"], m["lhs"], m["rhs"], m["relation"], m["ok"])
+            for m in record["inequalities"]
+        ] == rows
+        assert record["leq"] is all(row[-1] for row in rows)
+
+    @pytest.mark.parametrize("family, mu, x, class_match, code", [
+        ("B", "2,0,0", "2/2,0,0", False, 1),
+        ("B", "2,0,0", "1,0,0", False, 1),
+        ("B", "2,0,0", "2/2,1,0", True, 0),
+        ("A", "1,0", "2/2,0", True, 0),
+    ])
+    def test_integer_written_as_fraction(self, family, mu, x, class_match, code):
+        """An integral entry written as a fraction is still an integer: the
+        class comparison runs as for the plain integer."""
+        proc = run_cli(
+            "check", "--family", family, "--mu", mu, "--x", x, "--format", "json",
+        )
+        assert proc.returncode == code, proc.stderr
+        assert json.loads(proc.stdout)["class_match"] is class_match
+
     @pytest.mark.parametrize("mu, x, sector, class_match, code", [
         ("3,1", "2,0", "half", False, 1),  # doubled (2, 0) is the integral (1, 0)
         ("3,1", "2,1", "half", None, 0),  # (1, 1/2): no lattice point

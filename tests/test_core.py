@@ -153,6 +153,17 @@ class TestWeylOrbitEquivalent:
         assert weyl_orbit_equivalent(coweight("D", (1, 0)), coweight("D", (-1, 0)))
 
     @pytest.mark.parametrize("family,sector", FAMILY_SECTORS)
+    def test_matches_explicit_orbit(self, family, sector):
+        """Orbit equivalence, defined through the dominant representative,
+        against the explicit orbit: exhaustive at rank <= 3."""
+        for rank in ranks_for(family, 3):
+            box = box_coweights(family, sector, rank, 2 if rank == 3 else 3)
+            for x in box:
+                orbit = set(weyl_orbit(family, x.entries))
+                for y in box:
+                    assert weyl_orbit_equivalent(x, y) is (y.entries in orbit), (x, y)
+
+    @pytest.mark.parametrize("family,sector", FAMILY_SECTORS)
     def test_reflexive(self, family, sector):
         for x in box_coweights(family, sector, 3 if family is Family.D else 2, 1):
             assert weyl_orbit_equivalent(x, x)

@@ -7,6 +7,7 @@ The sample comes from ``perfbench/probe.py`` and its verdict digest from
 ``perfbench/ref/hull_oracle.json``; both are only read.
 """
 
+import hashlib
 import importlib.util
 import json
 import random
@@ -152,6 +153,57 @@ def test_benchmark_sample_matches_in_hull_and_reference(monkeypatch):
     assert len(sample) == reference["points"]
     digest = _load("common").verdict_digest("".join(verdicts))
     assert digest == reference["digests"]["0"]
+
+
+# SHA-256 of every seed-0 face-descent certificate, one line per inside
+# point in sample order: its (orbit point, weight) items, sorted.
+CERTIFICATE_DIGEST = "410eaaf75d86c2f2c7f2ba2b3b848ca058e750753bb3228c1761a7c6a6601f20"
+
+
+class _ScanCounter:
+    """A support function that counts how often it is scanned."""
+
+    def __init__(self, support):
+        self.support, self.scans = support, 0
+
+    def __iter__(self):
+        self.scans += 1
+        return iter(self.support)
+
+
+def test_face_descent_certificates_pinned(monkeypatch):
+    """The seed-0 certificates are pinned by their digest, and the descent
+    path by its total number of support scans.
+
+    Every step that moves scans the support once and the last step lands
+    on a vertex, so scans + 1 is the number of steps: at most rank+1.  The
+    weights come from the first orbit point of the smallest face holding
+    the current point, whichever tied direction shrank the face, so only
+    the scan total shows the tie rule (first direction on a tie).
+    """
+    descend = oracle._face_descent
+    lines, too_long, scans = [], [], []
+
+    def recorded(points, support, den, scaled):
+        counter = _ScanCounter(support)
+        weights = descend(points, counter, den, scaled)
+        scans.append(counter.scans)
+        if counter.scans > len(scaled):
+            too_long.append(scaled)
+        lines.append(" ".join(
+            f"{','.join(map(str, point))}={w}"
+            for point, w in sorted((points[k], w) for k, w in weights.items())
+        ))
+        return weights
+
+    monkeypatch.setattr(oracle, "_face_descent", recorded)
+    for mu, x in _load("probe").hull_sample(0):
+        caratheodory_in_hull(x, mu)
+    assert too_long == []
+    assert len(lines) == 1897
+    assert sum(scans) == 5220
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CERTIFICATE_DIGEST
 
 
 def test_b5_reach(monkeypatch):

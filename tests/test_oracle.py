@@ -107,8 +107,8 @@ class TestCaratheodory:
         assert not caratheodory_in_hull((3, 0), mu)
 
     def test_wrong_combination_raises(self):
-        """The re-check of a simplex answer is a real check, not an assert
-        that ``python -O`` strips."""
+        """The re-check of a face-descent certificate is a real check, not an
+        assert that ``python -O`` strips."""
         points = [(2, 0), (0, 2)]
         half = Fraction(1, 2)
         _check_combination(points, (1, 1), {0: half, 1: half})
@@ -154,16 +154,16 @@ class TestCaratheodory:
         assert caratheodory_in_hull((0, 0, 0, 0, 0), mu, weyl_cap=4000)
 
     @pytest.mark.parametrize("family,sector", FAMILY_SECTORS)
-    def test_simplex_matches_literal_subset_search(self, family, sector):
-        """The simplex-driven search and the literal enumeration agree,
-        and both agree with the prefix-sum membership test."""
+    def test_face_descent_matches_literal_subset_search(self, family, sector):
+        """The face-descent oracle and the literal enumeration agree, and
+        both agree with the prefix-sum membership test."""
         kind = GroupKind(family, 2)
         grid = [Fraction(k, 2) for k in range(-4, 5)]
         for mu in dominant_coweights(kind, sector, 2 if sector is Sector.INTEGRAL else 3):
             for x in product(grid, repeat=2):
-                via_simplex = caratheodory_in_hull(x, mu)
+                via_descent = caratheodory_in_hull(x, mu)
                 via_subsets = convex_combination_bruteforce(x, mu) is not None
-                assert via_simplex == via_subsets == in_hull(x, mu), (mu, x)
+                assert via_descent == via_subsets == in_hull(x, mu), (mu, x)
 
 
 class TestVerifyMainTheorem:
