@@ -5,8 +5,11 @@ of the package computes cleverly:
 
 * explicit Weyl orbits (permutations, signed permutations, evenly signed
   permutations);
-* convex-hull membership certified by an exact convex combination over the
-  orbit, independent of the prefix-sum order relation;
+* convex-hull membership certified either way without building the
+  orbit: a separating functional checked against the support function
+  h(c) = <dominant rep of c, mu>, or an exact convex combination of at
+  most rank+1 orbit points, each checked to normalise to mu; and, for the
+  tests, the literal subset search over the explicit orbit;
 * the set of lattice points of the orbit hull sharing the central class;
 * both sides of the projected set equality (hull classes vs. classes whose
   canonical lift projects into the hull), compared instance by instance;
@@ -39,10 +42,12 @@ from .core import (
     Scalar,
     Sector,
     Vector,
+    _vec_dominant_rep,
     coerce_vector,
     in_hull,
     is_dominant,
     leq,
+    order_rows,
     same_class_XG,
     weyl_orbit_equivalent,
 )
@@ -62,12 +67,14 @@ from .levi import (
 )
 from .reorder import check_batch_order, dominant_reordering
 
+# largest Weyl group the hull oracles accept by default: the literal subset
+# search enumerates the orbit; caratheodory_in_hull keeps the same cap
 DEFAULT_WEYL_CAP = 384
 DEFAULT_RANK_CAP = 6
 # most dominant weights dominant_coweights builds before raising CapExceeded
 GRID_CAP = 100_000
-# distinct mu whose orbit caratheodory_in_hull keeps
-ORBIT_MEMO_SIZE = 64
+# most candidates enumerate_Pmu scans in its box before raising CapExceeded
+BOX_CAP = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -112,54 +119,6 @@ def _integer_target(target: Sequence[Scalar]) -> tuple[int, list[int]]:
     exact = [Fraction(e) for e in target]
     den = lcm(*(e.denominator for e in exact))
     return den, [e.numerator * (den // e.denominator) for e in exact]
-
-
-def _face_descent(
-    points: Sequence[Vector], support: Sequence[tuple[Vector, int]],
-    den: int, scaled: Sequence[int],
-) -> dict[int, Fraction]:
-    """Weights of a convex combination of at most dim+1 ``points`` equal
-    to ``scaled / den``, read off the support function alone.
-
-    Carathéodory's construction in integers, the current point ``y / d``
-    in a face kept as the indices of its orbit points: walk from the
-    face's first point ``v`` through ``y / d`` to the first ``c . p = h(c)``
-    the ray meets (least ``a / b``, ``b = c . (y - d v) > 0``,
-    ``a = d h(c) - c . d v``, first ``c`` on a tie), give ``v`` the share
-    ``(a - b) / a`` and move to the exit point.  The face shrinks to its
-    points with ``c . p = h(c)``, a proper face (``a >= b > 0`` puts ``v``
-    off it), so the walk ends at a vertex within dim+1 steps.  If
-    ``support`` misses a facet normal, a ray can run unbounded or a face
-    empty: both raise :class:`ArithmeticError` instead of answering.
-    """
-    y, d = list(scaled), den
-    face = list(range(len(points)))
-    mass = Fraction(1)
-    weights: dict[int, Fraction] = {}
-    while face:
-        k = face[0]
-        dv = [d * e for e in points[k]]
-        if y == dv:
-            weights[k] = mass
-            return weights
-        step = [p - q for p, q in zip(y, dv)]
-        a = b = 0
-        for c, h in support:
-            rise = sum(map(mul, c, step))
-            if rise > 0:
-                room = d * h - sum(map(mul, c, dv))
-                if not b or room * b < a * rise:
-                    a, b, normal, top = room, rise, c, h
-        if not b:
-            raise ArithmeticError(f"no direction bounds the ray from {points[k]}")
-        if a != b:
-            weights[k] = mass * (a - b) / a
-        mass = mass * b / a
-        y = [b * e + a * s for e, s in zip(dv, step)]
-        g = gcd(b * d, *y)
-        y, d = [e // g for e in y], b * d // g
-        face = [j for j in face if sum(map(mul, normal, points[j])) == top]
-    raise ArithmeticError(f"the face descent to {list(scaled)}/{den} ran out of points")
 
 
 def _check_combination(
@@ -215,6 +174,20 @@ def _solve_support_weights(
     return [rows[where[col]][k] for col in range(k)]
 
 
+def _hull_target(
+    x: Coweight | Sequence[Scalar], mu: Coweight, weyl_cap: int
+) -> Vector:
+    """The raw entries of ``x`` after checking the arguments and the cap."""
+    if not is_dominant(mu):
+        raise NotDominantError(f"mu={mu} is not dominant")
+    order = weyl_group_order(mu.kind.family, mu.kind.rank)
+    if order > weyl_cap:
+        raise CapExceeded(
+            f"Weyl group order {order} exceeds the cap {weyl_cap}"
+        )
+    return coerce_vector(x, mu)
+
+
 def convex_combination_bruteforce(
     x: Coweight | Sequence[Scalar],
     mu: Coweight,
@@ -224,11 +197,12 @@ def convex_combination_bruteforce(
     """Literal support search: try every orbit subset of size <= rank+1.
 
     Exponentially slower than :func:`caratheodory_in_hull` but a direct
-    transcription of the definition; used to cross-check the face descent.
+    transcription of the definition over the explicit :func:`weyl_orbit`;
+    the tests compare the face descent against it.
     """
-    (pts, _), target = _hull_problem(x, mu, weyl_cap)
-    dim = len(target)
-    for size in range(1, dim + 2):
+    target = _hull_target(x, mu, weyl_cap)
+    pts = weyl_orbit(mu.kind.family, mu.entries)
+    for size in range(1, len(target) + 2):
         for chosen in combinations(pts, size):
             weights = _solve_support_weights(chosen, target)
             if weights is not None and all(w >= 0 for w in weights):
@@ -236,37 +210,135 @@ def convex_combination_bruteforce(
     return None
 
 
-@lru_cache(maxsize=ORBIT_MEMO_SIZE)
-def _orbit_problem(
-    family: Family, entries: tuple[int, ...]
-) -> tuple[tuple[Vector, ...], tuple[tuple[Vector, int], ...]]:
-    """The Weyl orbit of ``entries`` as a tuple, and its support function:
-    ``(c, h(c) = max of c . v over the orbit)`` for every ``c`` in
-    {-1, 0, 1}^n except 0, unit vectors first.  They include a multiple of
-    each Weyl conjugate of each fundamental coweight, so x is in the hull
-    iff c . x <= h(c) for all of them: the pairs are a complete
-    H-description, which :func:`_face_descent` walks for inside
-    certificates.  Built once per (family, entries)."""
-    pts = tuple(weyl_orbit(family, entries))  # the module global, so tracing sees it
-    nonzero = (c for c in product((1, 0, -1), repeat=len(entries)) if any(c))
-    directions = sorted(nonzero, key=lambda c: len(c) - c.count(0))
-    support = tuple((c, max(sum(map(mul, c, v)) for v in pts)) for c in directions)
-    return pts, support
+@lru_cache(maxsize=None)
+def _row_functionals(family: Family, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Row k of :func:`core.order_rows` as a vector r_k (row k of x is
+    r_k . x), read off the unit vectors.  Each r_k is dominant."""
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return tuple(zip(*(order_rows(family, e, e)[0] for e in units)))
 
 
-def _hull_problem(
-    x: Coweight | Sequence[Scalar], mu: Coweight, weyl_cap: int
-) -> tuple[tuple[tuple[Vector, ...], tuple[tuple[Vector, int], ...]], Vector]:
-    """((orbit, support function), target) after checking the arguments."""
-    if not is_dominant(mu):
-        raise NotDominantError(f"mu={mu} is not dominant")
-    family = mu.kind.family
-    order = weyl_group_order(family, mu.kind.rank)
-    if order > weyl_cap:
-        raise CapExceeded(
-            f"Weyl group order {order} exceeds the cap {weyl_cap}"
-        )
-    return _orbit_problem(family, mu.entries), coerce_vector(x, mu)
+_Element = tuple[list[int], list[int]]
+
+
+def _normaliser(family: Family, z: Sequence[int]) -> tuple[_Element, list[int]]:
+    """``(w, w . z)`` for a Weyl element w that makes ``w . z`` dominant,
+    held as ``(perm, signs)``: ``(w . z)_i = signs[i] * z[perm[i]]``.
+
+    Family A sorts; B and D sort by magnitude and flip the negative
+    entries, D by an even number of flips: an odd count flips the last
+    (smallest) entry back, and a zero there absorbs the parity.
+    """
+    n = len(z)
+    if family is Family.A:
+        perm, signs = sorted(range(n), key=z.__getitem__, reverse=True), [1] * n
+    else:
+        perm = sorted(range(n), key=[abs(e) for e in z].__getitem__, reverse=True)
+        signs = [-1 if z[i] < 0 else 1 for i in perm]
+        if family is Family.D and signs.count(-1) % 2:
+            signs[-1] = -signs[-1]
+    return (perm, signs), [s * z[i] for i, s in zip(perm, signs)]
+
+
+def _pull_back(w: _Element, r: Sequence[int]) -> list[int]:
+    """``w^-1 . r``, so that ``(w^-1 . r) . z = r . (w . z)``."""
+    out = [0] * len(r)
+    for i, s, e in zip(*w, r):
+        out[i] = s * e
+    return out
+
+
+def _violated_row(
+    family: Family, mu: Sequence[int], scale: int, z: Sequence[int]
+) -> tuple[list[int], int] | None:
+    """``(w^-1 . r_k, k)`` for the row k of ``w . z`` (w normalising z)
+    furthest above ``scale`` times mu's, or ``None`` when no row is above
+    and ``z / scale`` is in the hull; family A's sum row counts as met."""
+    w, wz = _normaliser(family, z)
+    rows_z, rows_m = order_rows(family, wz, mu)
+    gaps = [a - scale * b for a, b in zip(rows_z, rows_m)]
+    top = max(gaps)
+    if top <= 0:
+        return None
+    k = gaps.index(top)
+    return _pull_back(w, _row_functionals(family, len(mu))[k]), k
+
+
+def _support(family: Family, c: Sequence[int], mu: Sequence[int]) -> int:
+    """h(c) = max of c . v over the orbit of mu = <dominant rep of c, mu>,
+    since two dominant vectors pair the most: no orbit is built."""
+    return sum(map(mul, _vec_dominant_rep(family, c), mu))
+
+
+def _exit(
+    family: Family, mu: Sequence[int], d: int, dv: Sequence[int], step: Sequence[int]
+) -> tuple[int, int, list[int]]:
+    """``(a, b, c)``: the ray ``dv + t step`` leaves ``d`` times the hull at
+    ``t = a / b``, where ``c . p = d h(c)``.
+
+    Dinkelbach's iteration over the pulled-back row functionals c, with
+    rise ``b = c . step`` and room ``a = d h(c) - c . dv``: start from the
+    largest rise; while the candidate exit point violates a row, switch
+    to the functional most violated there, whose ratio must be smaller.
+    """
+    rows, heights = _row_functionals(family, len(mu)), order_rows(family, mu, mu)[0]
+    w, ws = _normaliser(family, step)
+    rises = order_rows(family, ws, mu)[0]
+    k = rises.index(max(rises))
+    c = _pull_back(w, rows[k])
+    a, b = d * heights[k] - sum(map(mul, c, dv)), rises[k]
+    while True:
+        exit_point = [b * e + a * s for e, s in zip(dv, step)]
+        found = _violated_row(family, mu, b * d, exit_point)
+        if found is None:
+            return a, b, c
+        c, k = found
+        rise = sum(map(mul, c, step))
+        room = d * heights[k] - sum(map(mul, c, dv))
+        if rise <= 0 or room * b >= a * rise:
+            raise ArithmeticError(f"the exit search from {list(dv)}/{d} stalled")
+        a, b = room, rise
+
+
+def _descend(
+    family: Family, mu: Sequence[int], den: int, scaled: Sequence[int]
+) -> tuple[list[Vector], dict[int, Fraction]]:
+    """Points of mu's orbit and the weights of a convex combination of at
+    most rank+1 of them equal to ``scaled / den``.
+
+    Carathéodory's construction in integers.  The face holding the
+    current point ``y / d`` is kept as the sum C of its exit functionals,
+    each tight on it, so ``v = w_C^-1 mu`` (w_C normalising C) is one of
+    its vertices.  Walk from v through ``y / d`` to the :func:`_exit` at
+    ``t = a / b``, give v the share ``(a - b) / a``, move to the exit
+    point and add its functional to C.  ``a >= b > 0`` puts v off the new
+    face, so a vertex is reached within rank+1 steps; an exit before
+    ``y / d`` or a longer walk raises :class:`ArithmeticError`.
+    """
+    y, d = list(scaled), den
+    total = [0] * len(mu)
+    mass, whole = 1, 1  # the share left for the face: mass / whole
+    points: list[Vector] = []
+    weights: dict[int, Fraction] = {}
+    for k in range(len(mu) + 1):
+        v = tuple(_pull_back(_normaliser(family, total)[0], mu))
+        points.append(v)
+        dv = [d * e for e in v]
+        if y == dv:
+            weights[k] = Fraction(mass, whole)
+            return points, weights
+        step = [p - q for p, q in zip(y, dv)]
+        a, b, c = _exit(family, mu, d, dv, step)
+        if a < b:
+            raise ArithmeticError(f"the ray from {v} leaves the hull before {y}/{d}")
+        if a != b:
+            weights[k] = Fraction(mass * (a - b), whole * a)
+        mass, whole = mass * b, whole * a
+        y = [b * e + a * s for e, s in zip(dv, step)]
+        g = gcd(b * d, *y)
+        y, d = [e // g for e in y], b * d // g
+        total = [t + e for t, e in zip(total, c)]
+    raise ArithmeticError(f"the descent to {list(scaled)}/{den} took over rank+1 steps")
 
 
 def caratheodory_in_hull(
@@ -275,26 +347,38 @@ def caratheodory_in_hull(
     *,
     weyl_cap: int = DEFAULT_WEYL_CAP,
 ) -> bool:
-    """Hull membership, certified either way from the orbit's support function.
+    """Hull membership, certified either way; no orbit, no memo.
 
-    Enumerates the orbit explicitly; completely independent of the
-    prefix-sum order relation, which is the point: this is the anti-bug
-    oracle for :func:`coweights.core.in_hull`.
-
-    The orbit and its support function are built once per μ and kept in a
-    bounded memo (``ORBIT_MEMO_SIZE`` entries).  An outside verdict carries
-    a separating functional: some ``c`` with ``c . x > h(c)``, checked
-    exactly on the integer-scaled target.  An inside verdict carries a
-    convex combination of at most rank+1 orbit points, built by
-    :func:`_face_descent` and re-derived by :func:`_check_combination`;
-    either raises :class:`ArithmeticError` rather than answer wrongly.
+    The anti-bug oracle for :func:`coweights.core.in_hull`.  The rows of
+    :func:`core.order_rows` only propose a verdict; what is trusted is
+    :func:`core._vec_dominant_rep` and exact integer arithmetic.  An
+    outside verdict carries a functional c with ``c . x > h(c)``
+    (:func:`_support`): ±(1, ..., 1) off family A's sum hyperplane, else
+    the most violated row functional, pulled back.  An inside verdict
+    carries a convex combination of at most rank+1 points from
+    :func:`_descend`, each normalising to mu, with weights re-derived by
+    :func:`_check_combination`.  A failed check raises
+    :class:`ArithmeticError` rather than answer wrongly.  ``weyl_cap`` is
+    enforced as for :func:`convex_combination_bruteforce`, although
+    nothing here grows with the Weyl group.
     """
-    (pts, support), target = _hull_problem(x, mu, weyl_cap)
+    target = _hull_target(x, mu, weyl_cap)
+    family, entries = mu.kind.family, mu.entries
     den, scaled = _integer_target(target)
-    if any(sum(map(mul, c, scaled)) > den * h for c, h in support):
-        return False
-    _check_combination(pts, target, _face_descent(pts, support, den, scaled))
-    return True
+    off = sum(scaled) - den * sum(entries)
+    if family is Family.A and off:
+        c = [1 if off > 0 else -1] * len(entries)
+    elif found := _violated_row(family, entries, den, scaled):
+        c = found[0]
+    else:
+        points, weights = _descend(family, entries, den, scaled)
+        if any(_vec_dominant_rep(family, p) != entries for p in points):
+            raise ArithmeticError(f"the certificate of {target} leaves the orbit")
+        _check_combination(points, target, weights)
+        return True
+    if sum(map(mul, c, scaled)) <= den * _support(family, c, entries):
+        raise ArithmeticError(f"the functional {c} does not separate {target}")
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +399,9 @@ def enumerate_Pmu(
 
     The search box |v_i| <= max|mu_i| suffices: the hull's vertices are
     signed permutations of ``mu``, so the hull lies in that sup-norm ball
-    (the test suite probes the shell just outside to confirm).
+    (the test suite probes the shell just outside to confirm).  A rank
+    above ``rank_cap`` or a box of more than ``BOX_CAP`` candidates raises
+    :class:`CapExceeded` before the scan starts.
     """
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")
@@ -323,6 +409,10 @@ def enumerate_Pmu(
     if n > rank_cap:
         raise CapExceeded(f"rank {n} exceeds the enumeration cap {rank_cap}")
     vals = _box_values(mu)
+    if len(vals) ** n > BOX_CAP:
+        raise CapExceeded(
+            f"the box of {len(vals)}^{n} candidates exceeds the cap of {BOX_CAP}"
+        )
     out = []
     for vec in product(vals, repeat=n):
         candidate = Coweight(mu.kind, vec, mu.sector)

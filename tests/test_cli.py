@@ -338,13 +338,14 @@ def _raise_internal(*args, **kwargs):
      None, 2),
     (["sweep", "--family", "A", "--ranks", "1", "--jobs", "0"], None, 2),
     (["pmu", "--family", "A", "--mu", "0,0,0,0,0,0,0"], None, 3),
+    (["pmu", "--family", "B", "--mu", "40,0,0,0,0,0"], None, 3),
     (["check", "--family", "B", "--mu", "2,0,0", "--x", "1,1,0"], "cmd_check", 3),
     (["sweep", "--family", "A", "--ranks", "1", "--max-entry", "0"],
      "run_instance", 3),
     (["sweep", "--family", "A", "--ranks", "4", "--max-entry", "1000000000"],
      None, 3),
 ], ids=["zero-denominator", "empty-vectors", "negative-jobs", "zero-jobs",
-        "rank-cap", "command-raises", "instance-raises", "max-entry-cap"])
+        "rank-cap", "box-cap", "command-raises", "instance-raises", "max-entry-cap"])
 def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys):
     """Every input ends in a contract exit code with a one-line message."""
     if patched:
@@ -354,6 +355,18 @@ def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys):
     assert len(err.splitlines()) == 1
     if patched:
         assert err == "internal error: RuntimeError: unexpected\n"
+
+
+def test_box_cap_stops_verify(capsys):
+    """A rank-6 box of 81⁶ candidates ends the instance with a cap error
+    record and exit code 3 instead of a scan that does not finish."""
+    code = cli.main([
+        "verify", "--family", "B", "--shape", "1,1,1,1,1,1", "--mu", "40,0,0,0,0,0",
+    ])
+    body, summary = ndjson(capsys.readouterr().out)
+    assert code == 3
+    assert body["error"].startswith("CapExceeded: ")
+    assert summary["errors"] == 1
 
 
 def test_property_failure_reaches_every_report(monkeypatch, capsys):

@@ -1,7 +1,8 @@
 """The exact hull oracle past the acceptance grid: the benchmark's rank-3/4
-sample against the full-tableau simplex kept here as an independent LP
-reference, the face-descent certificates, the per-μ orbit memo, and
-targets that are not all ``int`` or ``Fraction``.
+sample against two references kept here, the full-tableau simplex (an
+independent LP) and the oracle's former face descent over the explicit
+orbit and its 3ⁿ support table; the orbit-free certificates, their guards
+and their reach; and targets that are not all ``int`` or ``Fraction``.
 
 The sample comes from ``perfbench/probe.py`` and its verdict digest from
 ``perfbench/ref/hull_oracle.json``; both are only read.
@@ -13,12 +14,19 @@ import json
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from itertools import product
+from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
 
-from coweights import caratheodory_in_hull, coweight, in_hull, oracle
+from coweights import (
+    Coweight, Family, GroupKind, Sector, caratheodory_in_hull, coweight, in_hull,
+    oracle,
+)
+from coweights.oracle import _check_combination, _integer_target, weyl_orbit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -88,6 +96,80 @@ def _tableau_reference(points, target):
     return weights
 
 
+@lru_cache(maxsize=None)
+def _orbit_problem(family, entries):
+    """The Weyl orbit of ``entries`` as a tuple, and its support function:
+    ``(c, h(c) = max of c . v over the orbit)`` for every ``c`` in
+    {-1, 0, 1}^n except 0, unit vectors first.  They include a multiple of
+    each Weyl conjugate of each fundamental coweight, so x is in the hull
+    iff c . x <= h(c) for all of them: the pairs are a complete
+    H-description, which :func:`_face_descent` walks for inside
+    certificates.  The oracle's former support builder, kept as a
+    reference."""
+    pts = tuple(weyl_orbit(family, entries))
+    nonzero = (c for c in product((1, 0, -1), repeat=len(entries)) if any(c))
+    directions = sorted(nonzero, key=lambda c: len(c) - c.count(0))
+    support = tuple((c, max(sum(map(mul, c, v)) for v in pts)) for c in directions)
+    return pts, support
+
+
+def _face_descent(points, support, den, scaled):
+    """Weights of a convex combination of at most dim+1 ``points`` equal
+    to ``scaled / den``, read off the support function alone: the oracle's
+    former orbit-index descent, kept as a reference.
+
+    Carathéodory's construction in integers, the current point ``y / d``
+    in a face kept as the indices of its orbit points: walk from the
+    face's first point ``v`` through ``y / d`` to the first ``c . p = h(c)``
+    the ray meets (least ``a / b``, ``b = c . (y - d v) > 0``,
+    ``a = d h(c) - c . d v``, first ``c`` on a tie), give ``v`` the share
+    ``(a - b) / a`` and move to the exit point.  The face shrinks to its
+    points with ``c . p = h(c)``, a proper face (``a >= b > 0`` puts ``v``
+    off it), so the walk ends at a vertex within dim+1 steps.  If
+    ``support`` misses a facet normal, a ray can run unbounded or a face
+    empty: both raise :class:`ArithmeticError` instead of answering.
+    """
+    y, d = list(scaled), den
+    face = list(range(len(points)))
+    mass = Fraction(1)
+    weights = {}
+    while face:
+        k = face[0]
+        dv = [d * e for e in points[k]]
+        if y == dv:
+            weights[k] = mass
+            return weights
+        step = [p - q for p, q in zip(y, dv)]
+        a = b = 0
+        for c, h in support:
+            rise = sum(map(mul, c, step))
+            if rise > 0:
+                room = d * h - sum(map(mul, c, dv))
+                if not b or room * b < a * rise:
+                    a, b, normal, top = room, rise, c, h
+        if not b:
+            raise ArithmeticError(f"no direction bounds the ray from {points[k]}")
+        if a != b:
+            weights[k] = mass * (a - b) / a
+        mass = mass * b / a
+        y = [b * e + a * s for e, s in zip(dv, step)]
+        g = gcd(b * d, *y)
+        y, d = [e // g for e in y], b * d // g
+        face = [j for j in face if sum(map(mul, normal, points[j])) == top]
+    raise ArithmeticError(f"the face descent to {list(scaled)}/{den} ran out of points")
+
+
+def _orbit_reference(x, mu):
+    """The oracle's former verdict over the explicit orbit: outside when a
+    support functional separates, else certified by :func:`_face_descent`."""
+    points, support = _orbit_problem(mu.kind.family, mu.entries)
+    den, scaled = _integer_target(x)
+    if any(sum(map(mul, c, scaled)) > den * h for c, h in support):
+        return False
+    _check_combination(points, x, _face_descent(points, support, den, scaled))
+    return True
+
+
 def _certifies(points, weights, x, most):
     """Whether ``weights`` puts positive weight on at most ``most`` distinct
     ``points`` and recombines exactly to ``x``, re-derived from scratch."""
@@ -104,15 +186,15 @@ def _certifies(points, weights, x, most):
 
 
 def _count_descents(monkeypatch):
-    """Route ``oracle._face_descent`` through a recorder of (points, weights)."""
-    descend = oracle._face_descent
+    """Route ``oracle._descend`` through a recorder of (points, weights)."""
+    descend = oracle._descend
     reached = []
 
-    def counted(points, support, den, scaled):
-        reached.append((points, descend(points, support, den, scaled)))
-        return reached[-1][1]
+    def counted(family, mu, den, scaled):
+        reached.append(descend(family, mu, den, scaled))
+        return reached[-1]
 
-    monkeypatch.setattr(oracle, "_face_descent", counted)
+    monkeypatch.setattr(oracle, "_descend", counted)
     return reached
 
 
@@ -142,7 +224,7 @@ def test_benchmark_sample_matches_in_hull_and_reference(monkeypatch):
         elif inside and not _certifies(*reached[-1], x, mu.kind.rank + 1):
             wrong_certificate.append(i)
         if i % 4 == 0:
-            orbit = oracle._orbit_problem(mu.kind.family, mu.entries)[0]
+            orbit = _orbit_problem(mu.kind.family, mu.entries)[0]
             if (_tableau_reference(orbit, x) is None) == inside:
                 wrong_reference.append(i)
     assert disagree == []
@@ -155,8 +237,9 @@ def test_benchmark_sample_matches_in_hull_and_reference(monkeypatch):
     assert digest == reference["digests"]["0"]
 
 
-# SHA-256 of every seed-0 face-descent certificate, one line per inside
-# point in sample order: its (orbit point, weight) items, sorted.
+# SHA-256 of every seed-0 certificate of the orbit-index reference
+# descent, one line per inside point in sample order: its (orbit point,
+# weight) items, sorted.
 CERTIFICATE_DIGEST = "410eaaf75d86c2f2c7f2ba2b3b848ca058e750753bb3228c1761a7c6a6601f20"
 
 
@@ -171,9 +254,10 @@ class _ScanCounter:
         return iter(self.support)
 
 
-def test_face_descent_certificates_pinned(monkeypatch):
-    """The seed-0 certificates are pinned by their digest, and the descent
-    path by its total number of support scans.
+def test_face_descent_certificates_pinned():
+    """The seed-0 certificates of the orbit-index reference descent are
+    pinned by their digest, and its path by its total number of support
+    scans.
 
     Every step that moves scans the support once and the last step lands
     on a vertex, so scans + 1 is the number of steps: at most rank+1.  The
@@ -181,12 +265,14 @@ def test_face_descent_certificates_pinned(monkeypatch):
     the current point, whichever tied direction shrank the face, so only
     the scan total shows the tie rule (first direction on a tie).
     """
-    descend = oracle._face_descent
     lines, too_long, scans = [], [], []
-
-    def recorded(points, support, den, scaled):
+    for mu, x in _load("probe").hull_sample(0):
+        points, support = _orbit_problem(mu.kind.family, mu.entries)
+        den, scaled = _integer_target(x)
+        if any(sum(map(mul, c, scaled)) > den * h for c, h in support):
+            continue
         counter = _ScanCounter(support)
-        weights = descend(points, counter, den, scaled)
+        weights = _face_descent(points, counter, den, scaled)
         scans.append(counter.scans)
         if counter.scans > len(scaled):
             too_long.append(scaled)
@@ -194,16 +280,52 @@ def test_face_descent_certificates_pinned(monkeypatch):
             f"{','.join(map(str, point))}={w}"
             for point, w in sorted((points[k], w) for k, w in weights.items())
         ))
-        return weights
-
-    monkeypatch.setattr(oracle, "_face_descent", recorded)
-    for mu, x in _load("probe").hull_sample(0):
-        caratheodory_in_hull(x, mu)
     assert too_long == []
     assert len(lines) == 1897
     assert sum(scans) == 5220
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CERTIFICATE_DIGEST
+
+
+# SHA-256 of every seed-0 certificate of ``caratheodory_in_hull``, in the
+# same form as CERTIFICATE_DIGEST.
+ORBIT_FREE_DIGEST = "1a84d57b8980556b7627a735dcae0848fb190a3e4da409ebbc88656253105331"
+
+
+def test_orbit_free_certificates_pinned(monkeypatch):
+    """The seed-0 certificates of the orbit-free descent are pinned by
+    their digest, and its path by the total number of vertices it visits:
+    at most rank+1 per point, each visit one step of the walk."""
+    reached = _count_descents(monkeypatch)
+    too_long = []
+    for mu, x in _load("probe").hull_sample(0):
+        before = len(reached)
+        caratheodory_in_hull(x, mu)
+        if len(reached) > before and len(reached[-1][0]) > mu.kind.rank + 1:
+            too_long.append(x)
+    assert too_long == []
+    assert len(reached) == 1897
+    assert sum(len(points) for points, _ in reached) == 6999
+    lines = [
+        " ".join(
+            f"{','.join(map(str, point))}={w}"
+            for point, w in sorted((points[k], w) for k, w in weights.items())
+        )
+        for points, weights in reached
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ORBIT_FREE_DIGEST
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verdicts_match_orbit_reference(seed):
+    """On hull samples 0 and 1, the orbit-free verdicts equal those of the
+    former oracle over the explicit orbit and its 3ⁿ support table."""
+    disagree = [
+        i for i, (mu, x) in enumerate(_load("probe").hull_sample(seed))
+        if caratheodory_in_hull(x, mu) != _orbit_reference(x, mu)
+    ]
+    assert disagree == []
 
 
 def test_b5_reach(monkeypatch):
@@ -226,19 +348,127 @@ def test_b5_reach(monkeypatch):
     assert 0 < inside_count < 50
 
 
+def _orbit_point(rng, mu):
+    """A seeded point of the Weyl orbit of ``mu``, drawn without the orbit:
+    a random permutation with random signs (none in family A, an even
+    number of flips in family D)."""
+    n = mu.kind.rank
+    family = mu.kind.family
+    perm = rng.sample(range(n), n)
+    signs = [1 if family is Family.A else rng.choice((1, -1)) for _ in range(n)]
+    if family is Family.D and signs.count(-1) % 2:
+        signs[0] = -signs[0]
+    return tuple(s * mu.entries[i] for s, i in zip(signs, perm))
+
+
+@pytest.mark.parametrize("family, sector, entries", [
+    ("B", "integral", (3, 2, 2, 1, 1, 0, 0, 0)),
+    ("D", "half", (5, 3, 3, 1, 1, 1, 1, -1)),
+    ("A", "integral", (3, 2, 2, 1, 1, 0, 0, 0)),
+    ("B", "integral", (4, 3, 3, 2, 2, 1, 1, 1, 1, 0, 0, 0)),
+], ids=["B8", "D8-half", "A8", "B12"])
+def test_reach_past_the_cap(monkeypatch, family, sector, entries):
+    """Far past ``DEFAULT_WEYL_CAP`` (B12 has |W| = 2¹²·12! ≈ 2·10¹²):
+    seeded convex combinations of up to rank+1 orbit points are certified
+    by at most rank+1 orbit points, and points pushed past an orbit
+    point, or drawn from the bounding box, get the verdict of
+    ``in_hull``."""
+    reached = _count_descents(monkeypatch)
+    mu = Coweight(GroupKind(Family(family), len(entries)), entries, Sector(sector))
+    n = len(entries)
+    cap = oracle.weyl_group_order(mu.kind.family, n)
+    rng = random.Random(n)
+    bound = max(abs(e) for e in entries)
+    box_inside = 0
+    for _ in range(20):
+        chosen = [_orbit_point(rng, mu) for _ in range(rng.randint(1, n + 1))]
+        shares = [rng.randint(1, 6) for _ in chosen]
+        x = tuple(
+            Fraction(sum(w * p[i] for w, p in zip(shares, chosen)), sum(shares))
+            for i in range(n)
+        )
+        assert caratheodory_in_hull(x, mu, weyl_cap=cap), x
+        assert _certifies(*reached[-1], x, n + 1), x
+        pushed = tuple(Fraction(6, 5) * e for e in _orbit_point(rng, mu))
+        assert not caratheodory_in_hull(pushed, mu, weyl_cap=cap), pushed
+        box = [Fraction(rng.randint(-4 * bound, 4 * bound), 4) for _ in range(n)]
+        if family == "A":
+            box[-1] = sum(entries) - sum(box[:-1])
+        inside = in_hull(box, mu)
+        box_inside += inside
+        assert caratheodory_in_hull(box, mu, weyl_cap=cap) is inside, box
+    assert len(reached) == 20 + box_inside
+
+
 def test_incomplete_support_raises():
     """The descent trusts its support function to hold every facet normal;
     when one is missing it raises instead of answering.  Without x + y <= 2
     the point (2, 2) passes both given bounds and its face runs out of
     points; with only x <= 1 the ray from (0, 0) up to (0, 1) is unbounded."""
     with pytest.raises(ArithmeticError):
-        oracle._face_descent([(0, 2), (2, 0)], [((1, 0), 2), ((0, 1), 2)], 1, [2, 2])
+        _face_descent([(0, 2), (2, 0)], [((1, 0), 2), ((0, 1), 2)], 1, [2, 2])
     with pytest.raises(ArithmeticError):
-        oracle._face_descent([(0, 0), (1, 0)], [((1, 0), 1)], 1, [0, 1])
+        _face_descent([(0, 0), (1, 0)], [((1, 0), 1)], 1, [0, 1])
 
 
-def test_orbit_built_once_per_mu(monkeypatch):
-    """The memo calls ``weyl_orbit`` through the module, once per μ."""
+@pytest.mark.parametrize("x, mu", [
+    ((1, -1), (1, 1)),
+    ((1, -1), (1, -1)),
+    ((2, 1, -1), (2, 1, 1)),
+    ((0, 0, 0), (2, 1, 1)),
+], ids=["outside-exit", "inside-rows", "outside-steps", "inside-orbit"])
+def test_wrong_parity_normaliser_raises(monkeypatch, x, mu):
+    """A family-D normaliser that flips an odd number of signs leaves the
+    Weyl group; every verdict it proposes fails a re-check instead of
+    being answered: a functional that does not separate, an exit before
+    the point, a walk longer than rank+1 steps, or a certificate point
+    outside the orbit."""
+    normalise = oracle._normaliser
+
+    def no_parity(family, z):
+        return normalise(Family.B if family is Family.D else family, z)
+
+    monkeypatch.setattr(oracle, "_normaliser", no_parity)
+    with pytest.raises(ArithmeticError):
+        caratheodory_in_hull(x, coweight("D", mu))
+
+
+def test_non_separating_functional_raises(monkeypatch):
+    """An outside verdict is answered only after its functional separates:
+    with the row functionals negated, the rows still put (2, 0) outside
+    the hull of B(1, 0), but the functional offered, (-1, 0), does not
+    separate it."""
+    rows = oracle._row_functionals(Family.B, 2)
+    negated = tuple(tuple(-e for e in r) for r in rows)
+    monkeypatch.setattr(oracle, "_row_functionals", lambda family, rank: negated)
+    with pytest.raises(ArithmeticError):
+        caratheodory_in_hull((2, 0), coweight("B", (1, 0)))
+
+
+@pytest.mark.parametrize("x, mu", [
+    ((1, Fraction(1, 3), 0.5), coweight("B", (1, 1, 0))),
+    ((1, 1, 1), coweight("A", (2, 1, 0))),
+    ((Fraction(1, 2), 0, Fraction(-1, 4)), coweight("D", (2, 1, 1))),
+], ids=["B3", "A3", "D3"])
+def test_overshooting_exit_raises(monkeypatch, x, mu):
+    """An exit search that reports twice the true exit ratio walks out of
+    the hull; the next step finds its ray leaving the hull before the
+    current point, or the re-check rejects the weights."""
+    find_exit = oracle._exit
+
+    def overshoot(family, m, d, dv, step):
+        a, b, c = find_exit(family, m, d, dv, step)
+        return 2 * a, b, c
+
+    monkeypatch.setattr(oracle, "_exit", overshoot)
+    assert in_hull(x, mu)
+    with pytest.raises(ArithmeticError):
+        caratheodory_in_hull(x, mu)
+
+
+def test_oracle_never_builds_the_orbit(monkeypatch):
+    """``caratheodory_in_hull`` calls ``weyl_orbit`` zero times, inside
+    and outside, in families A and B."""
     calls = []
     original = oracle.weyl_orbit
 
@@ -247,15 +477,11 @@ def test_orbit_built_once_per_mu(monkeypatch):
         return original(family, entries)
 
     monkeypatch.setattr(oracle, "weyl_orbit", counted)
-    oracle._orbit_problem.cache_clear()
-    try:
-        mu, other = coweight("B", (2, 1, 0)), coweight("A", (2, 1, 0))
-        for x in ((0, 0, 0), (1, 1, 1), (3, 0, 0)):
-            caratheodory_in_hull(x, mu)
-        caratheodory_in_hull((1, 1, 1), other)
-        assert calls == [(2, 1, 0), (2, 1, 0)]
-    finally:
-        oracle._orbit_problem.cache_clear()
+    mu, other = coweight("B", (2, 1, 0)), coweight("A", (2, 1, 0))
+    for x in ((0, 0, 0), (1, 1, 1), (3, 0, 0)):
+        caratheodory_in_hull(x, mu)
+    caratheodory_in_hull((1, 1, 1), other)
+    assert calls == []
     orbit = oracle.weyl_orbit(mu.kind.family, mu.entries)
     assert isinstance(orbit, list)
     orbit.clear()
@@ -284,9 +510,9 @@ def test_float_and_mixed_targets(x, mu, inside):
 
 
 def test_mixed_target_certificate():
-    orbit, support = oracle._orbit_problem(B110.kind.family, B110.entries)
+    orbit, support = _orbit_problem(B110.kind.family, B110.entries)
     target = (1, Fraction(1, 3), 0.5)
-    weights = oracle._face_descent(orbit, support, *oracle._integer_target(target))
+    weights = _face_descent(orbit, support, *oracle._integer_target(target))
     assert {orbit[k]: w for k, w in weights.items()} == {
         (1, -1, 0): Fraction(1, 12),
         (1, 0, 1): Fraction(1, 2),

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import FAMILY_SECTORS
+from conftest import FAMILY_SECTORS, ranks_for
 from coweights import (
     CapExceeded,
     Coweight,
@@ -31,7 +31,13 @@ from coweights import (
     verify_main_theorem,
     weyl_orbit,
 )
-from coweights.oracle import GRID_CAP, _check_combination, weyl_group_order
+from coweights.oracle import (
+    BOX_CAP,
+    GRID_CAP,
+    _check_combination,
+    _support,
+    weyl_group_order,
+)
 
 
 class TestWeylOrbit:
@@ -84,6 +90,14 @@ class TestEnumeratePmu:
         mu = Coweight(GroupKind(Family.A, 7), (0,) * 7)
         with pytest.raises(CapExceeded):
             enumerate_Pmu(mu)
+
+    def test_box_cap(self):
+        """A box of 81⁶ candidates is refused before the scan starts; the
+        largest box the shipped grids use, B5 at max entry 2, is 5⁵."""
+        with pytest.raises(CapExceeded):
+            enumerate_Pmu(coweight("B", (40, 0, 0, 0, 0, 0)))
+        assert 9**6 <= BOX_CAP < 11**6
+        assert len(enumerate_Pmu(coweight("B", (2, 0, 0, 0, 0)))) > 0
 
 
 class TestCaratheodory:
@@ -139,6 +153,26 @@ class TestCaratheodory:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_certificate_rechecked_under_optimize(self):
+        """Under ``python -O`` the oracle still re-checks its inside
+        certificate: orbit points with weights that do not recombine to x
+        raise instead of answering."""
+        code = (
+            "from fractions import Fraction\n"
+            "from coweights import coweight, oracle\n"
+            "assert False, 'asserts are live'\n"
+            "oracle._descend = lambda *args: ([(2, 1, 0)], {0: Fraction(1)})\n"
+            "try:\n"
+            "    oracle.caratheodory_in_hull((1, 1, 1), coweight('A', (2, 1, 0)))\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_wrong_sector_raises(self):
         """A coweight of the other D sector is rejected, as by ``in_hull``,
         instead of being read in the wrong units."""
@@ -170,6 +204,60 @@ class TestCaratheodory:
                 via_descent = caratheodory_in_hull(x, mu)
                 via_subsets = convex_combination_bruteforce(x, mu) is not None
                 assert via_descent == via_subsets == in_hull(x, mu), (mu, x)
+
+    @pytest.mark.parametrize(
+        "family,sector",
+        FAMILY_SECTORS,
+        ids=[f"{f.name}-{s.name.lower()}" for f, s in FAMILY_SECTORS],
+    )
+    def test_low_rank_matches_literal_subset_search(self, family, sector):
+        """Ranks 1 and 2, on grids of thirds just past the bounding box
+        (every third at rank 1, every other third at rank 2): A1's hull is
+        a single point, B1's a segment, D2's a segment or a rectangle in
+        either sector.  The oracle, the literal enumeration and
+        ``in_hull`` agree."""
+        bound = 3 if sector is Sector.HALF else 2
+        for rank in ranks_for(family, 2):
+            stride = 1 if rank == 1 else 2
+            ends = (-3 * bound - 1, 3 * bound + 2)
+            grid = [Fraction(k, 3) for k in range(*ends, stride)]
+            for mu in dominant_coweights(GroupKind(family, rank), sector, bound):
+                for x in product(grid, repeat=rank):
+                    via_descent = caratheodory_in_hull(x, mu)
+                    via_subsets = convex_combination_bruteforce(x, mu) is not None
+                    assert via_descent == via_subsets == in_hull(x, mu), (mu, x)
+
+    @pytest.mark.parametrize(
+        "family,sector",
+        FAMILY_SECTORS,
+        ids=[f"{f.name}-{s.name.lower()}" for f, s in FAMILY_SECTORS],
+    )
+    def test_accepts_every_orbit_point(self, family, sector):
+        """Every orbit point of every dominant μ with max entry at most 3,
+        ranks up to 3, is certified inside."""
+        for rank in ranks_for(family, 3):
+            for mu in dominant_coweights(GroupKind(family, rank), sector, 3):
+                for v in weyl_orbit(family, mu.entries):
+                    assert caratheodory_in_hull(v, mu), (mu, v)
+
+
+def test_support_formula_matches_explicit_orbit():
+    """h(c) = <dominant rep of c, μ> is the largest c . v over the orbit:
+    the trust base of every outside verdict.  Every c in {-1, 0, 1}ⁿ (0
+    included, trivially), every dominant μ with max entry 3, families A,
+    B and D at ranks up to 4, both D sectors; ranks 2-4 alone give 13,014
+    pairs."""
+    pairs = wrong = 0
+    for family, sector in FAMILY_SECTORS:
+        for rank in ranks_for(family, 4):
+            for mu in dominant_coweights(GroupKind(family, rank), sector, 3):
+                orbit = weyl_orbit(family, mu.entries)
+                for c in product((-1, 0, 1), repeat=rank):
+                    pairs += rank >= 2
+                    top = max(sum(a * b for a, b in zip(c, v)) for v in orbit)
+                    wrong += _support(family, c, mu.entries) != top
+    assert wrong == 0
+    assert pairs == 13014
 
 
 class TestVerifyMainTheorem:
