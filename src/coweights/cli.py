@@ -56,7 +56,6 @@ from .core import (
 )
 from .levi import LeviShape, all_shapes, class_of, minuscule_lift, project
 from .oracle import (
-    DEFAULT_RANK_CAP,
     SweepConfig,
     VerificationReport,
     dominant_coweights,
@@ -355,9 +354,7 @@ def cmd_eta(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted
 
 def cmd_pmu(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
     mu = coweight(family, _parse_ints(args.mu), sector)
-    points = sorted(
-        enumerate_Pmu(mu, rank_cap=args.max_rank_cap), key=lambda c: c.entries
-    )
+    points = sorted(enumerate_Pmu(mu), key=lambda c: c.entries)
     fields = {
         "mu": list(mu.entries),
         "count": len(points),
@@ -386,14 +383,12 @@ def _emit(args: argparse.Namespace, family: Family, sector: Sector) -> int:
 
 
 def _verify_worker(
-    instance: tuple[LeviShape, Coweight], rank_cap: int, check_properties: bool
+    instance: tuple[LeviShape, Coweight], check_properties: bool
 ) -> VerificationReport | str:
     """One instance's report, or the error that stopped it."""
     shape, mu = instance
     try:
-        return run_instance(
-            shape, mu, rank_cap=rank_cap, check_properties=check_properties
-        )
+        return run_instance(shape, mu, check_properties=check_properties)
     except (CapExceeded, MismatchError, NotDominantError, ShapeError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -403,15 +398,14 @@ def _run_instances(
     instances: list[tuple[LeviShape, Coweight]],
     check_properties: bool,
 ) -> int:
-    """Write one record per instance, in order, as each arrives; then a summary."""
+    """Write one record per instance, in order, as each arrives; then a
+    summary.  Stopped instances also get one stderr line: their count and
+    the first one's error."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    worker = functools.partial(
-        _verify_worker,
-        rank_cap=args.max_rank_cap,
-        check_properties=check_properties,
-    )
+    worker = functools.partial(_verify_worker, check_properties=check_properties)
     unequal = errors = 0
+    first_error = ""
     writer = _Writer(args.out)
     try:
         with (
@@ -422,6 +416,7 @@ def _run_instances(
             for (shape, mu), result in zip(instances, results):
                 if isinstance(result, str):
                     errors += 1
+                    first_error = first_error or result
                     writer.record({**_instance_json(shape, mu), "error": result})
                     continue
                 if not result.ok:
@@ -438,6 +433,10 @@ def _run_instances(
     finally:
         writer.close()
     if errors:
+        print(
+            f"instances stopped: {errors} of {len(instances)}; first: {first_error}",
+            file=sys.stderr,
+        )
         return EXIT_INTERNAL
     return EXIT_FALSE if unequal else EXIT_OK
 
@@ -473,7 +472,6 @@ def cmd_sweep(args: argparse.Namespace, family: Family, sector: Sector) -> int:
         max_entry=args.max_entry,
         sectors=sectors,
         check_properties=not args.skip_properties,
-        rank_cap=args.max_rank_cap,
     )
     return _run_instances(
         args, list(sweep_instances(config)), config.check_properties
@@ -495,7 +493,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_grid(sub: argparse.ArgumentParser) -> None:
     """The flags ``verify`` and ``sweep`` share."""
     sub.add_argument("--max-entry", type=int, default=2)
-    sub.add_argument("--max-rank-cap", type=int, default=DEFAULT_RANK_CAP)
     sub.add_argument("--jobs", type=int, default=1,
                      help="worker processes, at least 1")
     sub.add_argument("--timing", action="store_true",
@@ -546,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("pmu", help="hull lattice points sharing mu's class")
     _add_common(p)
     p.add_argument("--mu", required=True)
-    p.add_argument("--max-rank-cap", type=int, default=DEFAULT_RANK_CAP)
     p.set_defaults(func=_emit, compute=cmd_pmu)
 
     p = subs.add_parser("verify", help="projected set equality (NDJSON)")

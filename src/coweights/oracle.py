@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -67,13 +67,13 @@ from .levi import (
 )
 from .reorder import check_batch_order, dominant_reordering
 
-# largest Weyl group the hull oracles accept by default: the literal subset
-# search enumerates the orbit; caratheodory_in_hull keeps the same cap
+# largest Weyl group the literal subset search accepts by default: it
+# enumerates the orbit
 DEFAULT_WEYL_CAP = 384
-DEFAULT_RANK_CAP = 6
 # most dominant weights dominant_coweights builds before raising CapExceeded
 GRID_CAP = 100_000
-# most candidates enumerate_Pmu scans in its box before raising CapExceeded
+# most candidates a box scan (the Pmu box, the lift boxes, the beta grid)
+# may have; a larger one raises CapExceeded before it starts
 BOX_CAP = 1_000_000
 
 
@@ -174,20 +174,6 @@ def _solve_support_weights(
     return [rows[where[col]][k] for col in range(k)]
 
 
-def _hull_target(
-    x: Coweight | Sequence[Scalar], mu: Coweight, weyl_cap: int
-) -> Vector:
-    """The raw entries of ``x`` after checking the arguments and the cap."""
-    if not is_dominant(mu):
-        raise NotDominantError(f"mu={mu} is not dominant")
-    order = weyl_group_order(mu.kind.family, mu.kind.rank)
-    if order > weyl_cap:
-        raise CapExceeded(
-            f"Weyl group order {order} exceeds the cap {weyl_cap}"
-        )
-    return coerce_vector(x, mu)
-
-
 def convex_combination_bruteforce(
     x: Coweight | Sequence[Scalar],
     mu: Coweight,
@@ -198,9 +184,17 @@ def convex_combination_bruteforce(
 
     Exponentially slower than :func:`caratheodory_in_hull` but a direct
     transcription of the definition over the explicit :func:`weyl_orbit`;
-    the tests compare the face descent against it.
+    the tests compare the face descent against it.  A Weyl group of more
+    than ``weyl_cap`` elements raises :class:`CapExceeded`.
     """
-    target = _hull_target(x, mu, weyl_cap)
+    if not is_dominant(mu):
+        raise NotDominantError(f"mu={mu} is not dominant")
+    order = weyl_group_order(mu.kind.family, mu.kind.rank)
+    if order > weyl_cap:
+        raise CapExceeded(
+            f"Weyl group order {order} exceeds the cap {weyl_cap}"
+        )
+    target = coerce_vector(x, mu)
     pts = weyl_orbit(mu.kind.family, mu.entries)
     for size in range(1, len(target) + 2):
         for chosen in combinations(pts, size):
@@ -341,12 +335,7 @@ def _descend(
     raise ArithmeticError(f"the descent to {list(scaled)}/{den} took over rank+1 steps")
 
 
-def caratheodory_in_hull(
-    x: Coweight | Sequence[Scalar],
-    mu: Coweight,
-    *,
-    weyl_cap: int = DEFAULT_WEYL_CAP,
-) -> bool:
+def caratheodory_in_hull(x: Coweight | Sequence[Scalar], mu: Coweight) -> bool:
     """Hull membership, certified either way; no orbit, no memo.
 
     The anti-bug oracle for :func:`coweights.core.in_hull`.  The rows of
@@ -358,11 +347,12 @@ def caratheodory_in_hull(
     carries a convex combination of at most rank+1 points from
     :func:`_descend`, each normalising to mu, with weights re-derived by
     :func:`_check_combination`.  A failed check raises
-    :class:`ArithmeticError` rather than answer wrongly.  ``weyl_cap`` is
-    enforced as for :func:`convex_combination_bruteforce`, although
-    nothing here grows with the Weyl group.
+    :class:`ArithmeticError` rather than answer wrongly.  Nothing here
+    grows with the Weyl group, so no rank or group order is refused.
     """
-    target = _hull_target(x, mu, weyl_cap)
+    if not is_dominant(mu):
+        raise NotDominantError(f"mu={mu} is not dominant")
+    target = coerce_vector(x, mu)
     family, entries = mu.kind.family, mu.entries
     den, scaled = _integer_target(target)
     off = sum(scaled) - den * sum(entries)
@@ -385,6 +375,13 @@ def caratheodory_in_hull(
 # Lattice-point enumeration of the hull
 # ---------------------------------------------------------------------------
 
+def _check_box(size: int, what: str) -> None:
+    """Refuse a scan of ``size`` > ``BOX_CAP`` candidates before it starts;
+    ``what`` names it for the message, as in "the box of 81^6"."""
+    if size > BOX_CAP:
+        raise CapExceeded(f"{what} candidates exceeds the cap of {BOX_CAP}")
+
+
 def _box_values(mu: Coweight) -> list[int]:
     radius = max((abs(e) for e in mu.entries), default=0)
     if mu.sector is Sector.HALF:
@@ -392,27 +389,20 @@ def _box_values(mu: Coweight) -> list[int]:
     return list(range(-radius, radius + 1))
 
 
-def enumerate_Pmu(
-    mu: Coweight, *, rank_cap: int = DEFAULT_RANK_CAP
-) -> frozenset[Coweight]:
+def enumerate_Pmu(mu: Coweight) -> frozenset[Coweight]:
     """All lattice points of the orbit hull sharing the class of ``mu``.
 
     The search box |v_i| <= max|mu_i| suffices: the hull's vertices are
     signed permutations of ``mu``, so the hull lies in that sup-norm ball
-    (the test suite probes the shell just outside to confirm).  A rank
-    above ``rank_cap`` or a box of more than ``BOX_CAP`` candidates raises
+    (the test suite probes the shell just outside to confirm).  Any rank
+    is accepted; a box of more than ``BOX_CAP`` candidates raises
     :class:`CapExceeded` before the scan starts.
     """
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")
     n = mu.kind.rank
-    if n > rank_cap:
-        raise CapExceeded(f"rank {n} exceeds the enumeration cap {rank_cap}")
     vals = _box_values(mu)
-    if len(vals) ** n > BOX_CAP:
-        raise CapExceeded(
-            f"the box of {len(vals)}^{n} candidates exceeds the cap of {BOX_CAP}"
-        )
+    _check_box(len(vals) ** n, f"the box of {len(vals)}^{n}")
     out = []
     for vec in product(vals, repeat=n):
         candidate = Coweight(mu.kind, vec, mu.sector)
@@ -461,20 +451,27 @@ def valid_lifts(
     shape: LeviShape, sector: Sector, entry_bound: int
 ) -> Iterator[Coweight]:
     """Every block-dominant, block-minuscule coweight whose GL entries stay
-    within [-entry_bound, entry_bound], enumerated via its class data."""
+    within [-entry_bound, entry_bound], enumerated via its class data.
+
+    The box of batch sums times the orthogonal classes is checked against
+    ``BOX_CAP`` when this is called, before any lift: :class:`CapExceeded`
+    beyond it.
+    """
     ranges = [
         _batch_sum_range(size, size * entry_bound, sector)
         for size in shape.gl_sizes
     ]
     classes = so_classes(shape, sector)
-    for sums in product(*ranges):
-        for so_class in classes:
-            yield minuscule_lift(shape, sums, so_class, sector)
+    size = prod(map(len, ranges)) * len(classes)
+    _check_box(size, f"the lift box of {size}")
+    return (
+        minuscule_lift(shape, sums, so_class, sector)
+        for sums in product(*ranges)
+        for so_class in classes
+    )
 
 
-def verify_main_theorem(
-    shape: LeviShape, mu: Coweight, *, rank_cap: int = DEFAULT_RANK_CAP
-) -> VerificationReport:
+def verify_main_theorem(shape: LeviShape, mu: Coweight) -> VerificationReport:
     """Compare both descriptions of the projected hull classes.
 
     Left side: the classes of the hull's lattice points with the central
@@ -488,7 +485,7 @@ def verify_main_theorem(
         raise MismatchError(f"kind mismatch: shape {shape.kind} vs {mu.kind}")
     start = time.perf_counter()
 
-    points = sorted(enumerate_Pmu(mu, rank_cap=rank_cap), key=lambda c: c.entries)
+    points = sorted(enumerate_Pmu(mu), key=lambda c: c.entries)
     witness: dict[XMClass, Coweight] = {}
     for nu in points:
         witness.setdefault(class_of(shape, nu), nu)
@@ -590,18 +587,22 @@ def _beta_grid(shape: LeviShape, mu: Coweight) -> Iterator[LeviPoint]:
     """Batch-constant points for the batch-end order check.
 
     Family A fills the last batch average from the others so that the
-    total-sum (coroot span) precondition holds exactly.
+    total-sum (coroot span) precondition holds exactly.  A grid of more
+    than ``BOX_CAP`` points raises :class:`CapExceeded` before the first;
+    at rank <= 6 it has at most 9^6.
     """
     r = shape.num_gl_batches
     values = _BETA_VALUES_SMALL if r <= 2 else _BETA_VALUES_TINY
+    free = r - 1 if shape.kind.family is Family.A else r
+    _check_box(len(values) ** free, f"the beta grid of {len(values)}^{free}")
     if shape.kind.family is Family.A:
         total = Fraction(sum(mu.entries))
-        for head in product(values, repeat=r - 1):
+        for head in product(values, repeat=free):
             used = sum(a * s for a, s in zip(head, shape.gl_sizes[:-1]))
             last = (total - used) / shape.gl_sizes[-1]
             yield LeviPoint(shape, head + (last,))
         return
-    for avgs in product(values, repeat=r):
+    for avgs in product(values, repeat=free):
         yield LeviPoint(shape, avgs)
 
 
@@ -610,7 +611,9 @@ def batch_end_agreement(
 ) -> tuple[int, list[str]]:
     """Check batch-end order == full order over the beta grid.
 
-    Returns (number of points checked, failure descriptions).
+    Returns (number of points checked, failure descriptions).  A grid past
+    ``BOX_CAP`` (seven or more free batch averages, 9^7 points) raises
+    :class:`CapExceeded` before its first point.
     """
     checked = 0
     failures = []
@@ -702,12 +705,13 @@ def reordering_failures(
 def instance_property_failures(
     shape: LeviShape, mu: Coweight
 ) -> tuple[str, ...]:
-    """The per-instance property bundle run by sweeps."""
-    failures: list[str] = []
-    failures.extend(batch_end_agreement(shape, mu)[1])
+    """The per-instance property bundle run by sweeps.  A lift box past
+    ``BOX_CAP`` is refused before the beta grid is scanned."""
     radius = max((abs(e) for e in mu.entries), default=0)
+    lifts = valid_lifts(shape, mu.sector, radius + 1)
+    failures = batch_end_agreement(shape, mu)[1]
     mus = [mu]
-    for nu in valid_lifts(shape, mu.sector, radius + 1):
+    for nu in lifts:
         if not has_dominant_projection(shape, nu):
             continue
         try:
@@ -730,7 +734,6 @@ class SweepConfig:
     max_entry: int
     sectors: tuple[Sector, ...] = (Sector.INTEGRAL,)
     check_properties: bool = True
-    rank_cap: int = DEFAULT_RANK_CAP
 
 
 def sweep_instances(
@@ -752,12 +755,12 @@ def sweep_instances(
 
 
 def run_instance(
-    shape: LeviShape, mu: Coweight, *, rank_cap: int, check_properties: bool
+    shape: LeviShape, mu: Coweight, *, check_properties: bool
 ) -> VerificationReport:
     """One instance of a sweep: the set equality, plus the property bundle
     (batch-end order equivalence and the reordering postconditions) when
     ``check_properties`` is on."""
-    report = verify_main_theorem(shape, mu, rank_cap=rank_cap)
+    report = verify_main_theorem(shape, mu)
     if not check_properties:
         return report
     return replace(report, property_failures=instance_property_failures(shape, mu))
@@ -766,12 +769,9 @@ def run_instance(
 def sweep(config: SweepConfig) -> list[VerificationReport]:
     """Run :func:`run_instance` over the whole grid, in grid order.
 
-    Cap violations raise; the grids used here stay within the default caps.
+    Cap violations raise; the grids used here stay within the caps.
     """
     return [
-        run_instance(
-            shape, mu,
-            rank_cap=config.rank_cap, check_properties=config.check_properties,
-        )
+        run_instance(shape, mu, check_properties=config.check_properties)
         for shape, mu in sweep_instances(config)
     ]

@@ -1,8 +1,10 @@
 """CLI surface: subcommands, exit codes, NDJSON schema, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,8 +195,13 @@ class TestSmallCommands:
         assert record["points"] == [[-1, 0], [0, -1], [0, 1], [1, 0]]
 
     def test_pmu_cap_exits_three(self):
-        proc = run_cli("pmu", "--family", "A", "--mu", "0,0,0,0,0,0,0")
+        proc = run_cli("pmu", "--family", "B", "--mu", "40,0,0,0,0,0")
         assert proc.returncode == 3
+
+    def test_pmu_past_rank_six(self, capsys):
+        """Only the box size is capped: the one-candidate A7 box runs."""
+        assert cli.main(["pmu", "--family", "A", "--mu", "0,0,0,0,0,0,0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "count: 1"
 
     def test_class_command(self):
         proc = run_cli(
@@ -337,7 +344,8 @@ def _raise_internal(*args, **kwargs):
     (["verify", "--family", "A", "--shape", "2", "--mu", "1,0", "--jobs", "-3"],
      None, 2),
     (["sweep", "--family", "A", "--ranks", "1", "--jobs", "0"], None, 2),
-    (["pmu", "--family", "A", "--mu", "0,0,0,0,0,0,0"], None, 3),
+    (["verify", "--family", "B", "--shape", "1,1,1,1,1,1", "--mu", "40,0,0,0,0,0"],
+     None, 3),
     (["pmu", "--family", "B", "--mu", "40,0,0,0,0,0"], None, 3),
     (["check", "--family", "B", "--mu", "2,0,0", "--x", "1,1,0"], "cmd_check", 3),
     (["sweep", "--family", "A", "--ranks", "1", "--max-entry", "0"],
@@ -345,7 +353,7 @@ def _raise_internal(*args, **kwargs):
     (["sweep", "--family", "A", "--ranks", "4", "--max-entry", "1000000000"],
      None, 3),
 ], ids=["zero-denominator", "empty-vectors", "negative-jobs", "zero-jobs",
-        "rank-cap", "box-cap", "command-raises", "instance-raises", "max-entry-cap"])
+        "instance-cap", "box-cap", "command-raises", "instance-raises", "max-entry-cap"])
 def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys):
     """Every input ends in a contract exit code with a one-line message."""
     if patched:
@@ -369,13 +377,35 @@ def test_box_cap_stops_verify(capsys):
     assert summary["errors"] == 1
 
 
+def test_stopped_instance_named_on_stderr(capsys):
+    """The one stderr line counts the stopped instances and repeats the
+    first error record's text."""
+    code = cli.main([
+        "verify", "--family", "B", "--shape", "1,1,1,1,1,1", "--mu", "40,0,0,0,0,0",
+    ])
+    out, err = capsys.readouterr()
+    body, _ = ndjson(out)
+    assert code == 3
+    assert err == f"instances stopped: 1 of 1; first: {body['error']}\n"
+
+
+def test_verify_past_rank_six(capsys):
+    """Rank 7 is no longer refused: 3^7 Pmu candidates and 3^7 lifts."""
+    code = cli.main([
+        "verify", "--family", "A", "--shape", "1,1,1,1,1,1,1", "--mu", "1,0,0,0,0,0,0",
+    ])
+    body, summary = ndjson(capsys.readouterr().out)
+    assert code == 0
+    assert body["equal"] is True and summary["ok"] == 1
+
+
 def test_property_failure_reaches_every_report(monkeypatch, capsys):
     monkeypatch.setattr(
         oracle, "instance_property_failures", lambda shape, mu: ("injected",)
     )
     shape = LeviShape(GroupKind(Family.A, 2), (2,), 0)
     report = oracle.run_instance(
-        shape, coweight("A", (1, 0)), rank_cap=6, check_properties=True
+        shape, coweight("A", (1, 0)), check_properties=True
     )
     assert report.equal and report.property_failures == ("injected",)
     assert not report.ok
@@ -406,3 +436,23 @@ def test_library_sweep_matches_cli_lines(capsys):
     ]
     assert code == 0
     assert lines[:-1] == expected
+
+
+def _readme_cli_lines():
+    """The ``coweights ...`` lines of README's CLI code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("coweights ")]
+
+
+README_CLI_LINES = _readme_cli_lines()
+
+
+@pytest.mark.parametrize(
+    "line", README_CLI_LINES,
+    ids=[f"{i}-{line.split()[1]}" for i, line in enumerate(README_CLI_LINES)],
+)
+def test_readme_cli_examples_run(line, capsys):
+    """Every documented invocation still parses and exits 0, so a removed
+    flag or command cannot linger in the docs."""
+    assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err

@@ -329,7 +329,7 @@ def test_verdicts_match_orbit_reference(seed):
 
 
 def test_b5_reach(monkeypatch):
-    """Past the default Weyl cap: seeded rational points at B5, μ =
+    """Past the subset search's Weyl cap: seeded rational points at B5, μ =
     (2,1,1,0,0) (|W| = 3840, a 240-point orbit), agree with ``in_hull``,
     and each inside point carries a certificate of at most 6 points."""
     reached = _count_descents(monkeypatch)
@@ -340,7 +340,7 @@ def test_b5_reach(monkeypatch):
         x = tuple(Fraction(rng.randint(-6, 6), 4) for _ in range(5))
         before = len(reached)
         inside = in_hull(x, mu)
-        assert caratheodory_in_hull(x, mu, weyl_cap=3840) is inside, x
+        assert caratheodory_in_hull(x, mu) is inside, x
         assert len(reached) - before == inside, x
         if inside:
             inside_count += 1
@@ -376,7 +376,6 @@ def test_reach_past_the_cap(monkeypatch, family, sector, entries):
     reached = _count_descents(monkeypatch)
     mu = Coweight(GroupKind(Family(family), len(entries)), entries, Sector(sector))
     n = len(entries)
-    cap = oracle.weyl_group_order(mu.kind.family, n)
     rng = random.Random(n)
     bound = max(abs(e) for e in entries)
     box_inside = 0
@@ -387,16 +386,16 @@ def test_reach_past_the_cap(monkeypatch, family, sector, entries):
             Fraction(sum(w * p[i] for w, p in zip(shares, chosen)), sum(shares))
             for i in range(n)
         )
-        assert caratheodory_in_hull(x, mu, weyl_cap=cap), x
+        assert caratheodory_in_hull(x, mu), x
         assert _certifies(*reached[-1], x, n + 1), x
         pushed = tuple(Fraction(6, 5) * e for e in _orbit_point(rng, mu))
-        assert not caratheodory_in_hull(pushed, mu, weyl_cap=cap), pushed
+        assert not caratheodory_in_hull(pushed, mu), pushed
         box = [Fraction(rng.randint(-4 * bound, 4 * bound), 4) for _ in range(n)]
         if family == "A":
             box[-1] = sum(entries) - sum(box[:-1])
         inside = in_hull(box, mu)
         box_inside += inside
-        assert caratheodory_in_hull(box, mu, weyl_cap=cap) is inside, box
+        assert caratheodory_in_hull(box, mu) is inside, box
     assert len(reached) == 20 + box_inside
 
 

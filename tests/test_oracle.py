@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import FAMILY_SECTORS, ranks_for
+from conftest import FAMILY_SECTORS, entry_values, ranks_for
 from coweights import (
     CapExceeded,
     Coweight,
@@ -26,6 +26,7 @@ from coweights import (
     dominant_representative,
     enumerate_Pmu,
     in_hull,
+    oracle,
     same_class_XG,
     sweep,
     verify_main_theorem,
@@ -34,8 +35,11 @@ from coweights import (
 from coweights.oracle import (
     BOX_CAP,
     GRID_CAP,
+    _beta_grid,
     _check_combination,
     _support,
+    batch_end_agreement,
+    valid_lifts,
     weyl_group_order,
 )
 
@@ -87,9 +91,10 @@ class TestEnumeratePmu:
             assert dominant_representative(p) in enumerate_Pmu(mu)
 
     def test_rank_cap(self):
+        """No rank is refused for itself: the A7 box of the zero weight has
+        one candidate, and it is the one point."""
         mu = Coweight(GroupKind(Family.A, 7), (0,) * 7)
-        with pytest.raises(CapExceeded):
-            enumerate_Pmu(mu)
+        assert enumerate_Pmu(mu) == {mu}
 
     def test_box_cap(self):
         """A box of 81⁶ candidates is refused before the scan starts; the
@@ -182,10 +187,13 @@ class TestCaratheodory:
                 check(x, mu)
 
     def test_weyl_cap(self):
+        """The literal subset search enumerates the orbit and keeps its cap;
+        the orbit-free oracle answers at B5 (|W| = 3840) without one."""
         mu = Coweight(GroupKind(Family.B, 5), (1, 0, 0, 0, 0))
         with pytest.raises(CapExceeded):
-            caratheodory_in_hull((0, 0, 0, 0, 0), mu)
-        assert caratheodory_in_hull((0, 0, 0, 0, 0), mu, weyl_cap=4000)
+            convex_combination_bruteforce((0, 0, 0, 0, 0), mu)
+        assert convex_combination_bruteforce((0, 0, 0, 0, 0), mu, weyl_cap=4000)
+        assert caratheodory_in_hull((0, 0, 0, 0, 0), mu)
 
     # Short IDs keep the four cases distinct in test listings that cut long
     # names at 100 characters.
@@ -392,6 +400,69 @@ def _box_scan_dominant_coweights(kind, sector, max_entry):
         for last in range(-head[-1], head[-1] + 1, step):
             out.append(Coweight(kind, head + (last,), sector))
     return sorted(out, key=lambda c: c.entries)
+
+
+def _largest_radius(sector, rank):
+    """The largest max|mu_i| whose Pmu box stays within ``BOX_CAP``; odd in
+    the half sector, whose doubled entries are odd."""
+    side = round(BOX_CAP ** (1 / rank))
+    while side**rank > BOX_CAP:
+        side -= 1
+    while (side + 1) ** rank <= BOX_CAP:
+        side += 1
+    radius = side - 1 if sector is Sector.HALF else (side - 1) // 2
+    if sector is Sector.HALF and radius % 2 == 0:
+        radius -= 1
+    assert len(entry_values(sector, radius)) ** rank <= BOX_CAP
+    return radius
+
+
+def _scanned(*args):
+    raise AssertionError("a beta grid point was checked")
+
+
+class TestScanCaps:
+    """``BOX_CAP`` bounds the lift boxes and the beta grid too, checked
+    before their first candidate."""
+
+    def test_lift_box_refused_before_first_lift(self):
+        """B6, shape 1^6, bound 5: 11^6 (about 1.77e6) lifts."""
+        shape = LeviShape(GroupKind(Family.B, 6), (1,) * 6)
+        with pytest.raises(CapExceeded):
+            next(valid_lifts(shape, Sector.INTEGRAL, 5))
+
+    def test_beta_grid_refused_before_first_point(self, monkeypatch):
+        """B7, shape 1^7: a grid of 9^7 (about 4.8e6) points."""
+        monkeypatch.setattr(oracle, "leq_batch_ends", _scanned)
+        shape = LeviShape(GroupKind(Family.B, 7), (1,) * 7)
+        with pytest.raises(CapExceeded):
+            batch_end_agreement(shape, coweight("B", (1, 0, 0, 0, 0, 0, 0)))
+
+    def test_property_lifts_refused_before_beta_grid(self, monkeypatch):
+        """B6, shape 1^6, mu = (4,0,...): the 9^6-point beta grid would
+        run first, but the 11^6 lift box is refused before it."""
+        monkeypatch.setattr(oracle, "leq_batch_ends", _scanned)
+        shape = LeviShape(GroupKind(Family.B, 6), (1,) * 6)
+        with pytest.raises(CapExceeded):
+            oracle.instance_property_failures(shape, coweight("B", (4, 0, 0, 0, 0, 0)))
+
+    @pytest.mark.parametrize(
+        "family,sector",
+        FAMILY_SECTORS,
+        ids=[f"{f.name}-{s.name.lower()}" for f, s in FAMILY_SECTORS],
+    )
+    def test_within_cap_up_to_rank_six(self, family, sector):
+        """At ranks <= 6 no shape's lift box or beta grid is refused where
+        the Pmu box is not.  The lift box grows with the radius (the beta
+        grid does not depend on it), so the largest radius the Pmu cap
+        admits stands for all."""
+        for rank in ranks_for(family, 6):
+            kind = GroupKind(family, rank)
+            radius = _largest_radius(sector, rank)
+            mu = Coweight(kind, (1 if sector is Sector.HALF else 0,) * rank, sector)
+            for shape in all_shapes(kind):
+                next(valid_lifts(shape, sector, radius))
+                next(_beta_grid(shape, mu))
 
 
 class TestDominantCoweights:
