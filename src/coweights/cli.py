@@ -8,16 +8,18 @@ project  batch averages of a point for a Levi shape
 lift     canonical lift from batch sums plus an orthogonal class
 eta      the merge-and-repair reordering, stage by stage
 pmu      lattice points of the orbit hull sharing the central class
-verify   the projected set equality, one instance or a shape/weight grid
-sweep    verify plus the per-instance property bundle over a family grid
+verify   the projected set equality for one (shape, mu) instance
+sweep    the set equality, plus the per-instance property bundle, over the
+         grid of every shape and dominant weight of the listed families,
+         ranks and sectors
 
-Reports are newline-delimited JSON (``--format json`` for the small
-commands, always for ``verify``/``sweep``).  A small command writes one
-record opening with ``schema, command, family, sector``; ``eta`` reports a
-failed precondition as ``precondition_failed`` with ``"ok": false``.
-``verify``/``sweep`` write each instance's record as soon as it is done, in
-grid order also with ``--jobs`` (at least 1), so output is byte-identical
-for identical inputs; timing is opt-in via ``--timing``.
+The small commands write text lines, or with ``--format json`` one record
+opening with ``schema, command, family, sector``; ``eta`` reports a failed
+precondition as ``precondition_failed`` with ``"ok": false``.  ``verify``
+and ``sweep`` write newline-delimited JSON: each instance's record as soon
+as it is done, in grid order also with ``sweep --jobs`` (at least 1), then
+a summary, so output is byte-identical for identical inputs; timing is
+opt-in via ``--timing``.
 
 Exit codes: 0 all requested relations hold; 1 a mathematical verdict is
 false (or a reordering precondition fails); 2 usage or validation error;
@@ -33,7 +35,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .core import (
     CapExceeded,
@@ -54,11 +56,10 @@ from .core import (
     weyl_orbit_equivalent,
     ShapeError,
 )
-from .levi import LeviShape, all_shapes, class_of, minuscule_lift, project
+from .levi import LeviShape, class_of, minuscule_lift, project
 from .oracle import (
     SweepConfig,
     VerificationReport,
-    dominant_coweights,
     enumerate_Pmu,
     run_instance,
     sweep_instances,
@@ -363,8 +364,9 @@ def cmd_pmu(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted
     return fields, [str(p) for p in points] + [f"count: {len(points)}"], True
 
 
-def _emit(args: argparse.Namespace, family: Family, sector: Sector) -> int:
+def _emit(args: argparse.Namespace) -> int:
     """Run a small command; write its record (``--format json``) or lines."""
+    family, sector = _parse_family(args.family), _parse_sector(args.sector)
     fields, lines, ok = args.compute(args, family, sector)
     writer = _Writer(args.out)
     if args.format == "json":
@@ -384,40 +386,40 @@ def _emit(args: argparse.Namespace, family: Family, sector: Sector) -> int:
 
 def _verify_worker(
     instance: tuple[LeviShape, Coweight], check_properties: bool
-) -> VerificationReport | str:
-    """One instance's report, or the error that stopped it."""
+) -> VerificationReport | dict[str, Any]:
+    """One instance's report, or the record of the error that stopped it."""
     shape, mu = instance
     try:
         return run_instance(shape, mu, check_properties=check_properties)
     except (CapExceeded, MismatchError, NotDominantError, ShapeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return {**_instance_json(shape, mu), "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _run_instances(
     args: argparse.Namespace,
-    instances: list[tuple[LeviShape, Coweight]],
+    instances: Iterable[tuple[LeviShape, Coweight]],
     check_properties: bool,
+    jobs: int = 1,
 ) -> int:
     """Write one record per instance, in order, as each arrives; then a
-    summary.  Stopped instances also get one stderr line: their count and
-    the first one's error."""
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    summary, which counts them.  Stopped instances also get one stderr
+    line: their count and the first one's error."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     worker = functools.partial(_verify_worker, check_properties=check_properties)
-    unequal = errors = 0
+    count = unequal = errors = 0
     first_error = ""
     writer = _Writer(args.out)
     try:
         with (
-            ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
-            else nullcontext()
+            ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
         ) as pool:
-            results = pool.map(worker, instances) if pool else map(worker, instances)
-            for (shape, mu), result in zip(instances, results):
-                if isinstance(result, str):
+            for result in (pool.map if pool else map)(worker, instances):
+                count += 1
+                if isinstance(result, dict):
                     errors += 1
-                    first_error = first_error or result
-                    writer.record({**_instance_json(shape, mu), "error": result})
+                    first_error = first_error or result["error"]
+                    writer.record(result)
                     continue
                 if not result.ok:
                     unequal += 1
@@ -425,8 +427,8 @@ def _run_instances(
         writer.record({
             "schema": SCHEMA,
             "summary": True,
-            "instances": len(instances),
-            "ok": len(instances) - unequal - errors,
+            "instances": count,
+            "ok": count - unequal - errors,
             "failed": unequal,
             "errors": errors,
         })
@@ -434,38 +436,25 @@ def _run_instances(
         writer.close()
     if errors:
         print(
-            f"instances stopped: {errors} of {len(instances)}; first: {first_error}",
+            f"instances stopped: {errors} of {count}; first: {first_error}",
             file=sys.stderr,
         )
         return EXIT_INTERNAL
     return EXIT_FALSE if unequal else EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, family: Family, sector: Sector) -> int:
-    if args.shape and args.mu:
-        mu = coweight(family, _parse_ints(args.mu), sector)
-        shape = _parse_shape(args.shape, mu.kind)
-        if not is_dominant(mu):
-            raise ValueError(f"--mu {args.mu} is not dominant")
-        instances = [(shape, mu)]
-    elif args.all_shapes:
-        if args.rank is None:
-            raise ValueError("--all-shapes needs --rank")
-        kind = GroupKind(family, args.rank)
-        mus = dominant_coweights(kind, sector, args.max_entry)
-        instances = [(shape, mu) for shape in all_shapes(kind) for mu in mus]
-    else:
-        raise ValueError("give either --shape and --mu, or --all-shapes")
-    return _run_instances(args, instances, check_properties=False)
+def cmd_verify(args: argparse.Namespace) -> int:
+    family, sector = _parse_family(args.family), _parse_sector(args.sector)
+    mu = coweight(family, _parse_ints(args.mu), sector)
+    shape = _parse_shape(args.shape, mu.kind)
+    if not is_dominant(mu):
+        raise ValueError(f"--mu {args.mu} is not dominant")
+    return _run_instances(args, [(shape, mu)], check_properties=False)
 
 
-def cmd_sweep(args: argparse.Namespace, family: Family, sector: Sector) -> int:
-    families = (family,) if args.families is None else tuple(
-        _parse_family(f) for f in args.families.split(",")
-    )
-    sectors = (sector,) if args.sectors is None else tuple(
-        _parse_sector(s) for s in args.sectors.split(",")
-    )
+def cmd_sweep(args: argparse.Namespace) -> int:
+    families = tuple(_parse_family(f) for f in args.family.split(","))
+    sectors = tuple(_parse_sector(s) for s in args.sectors.split(","))
     config = SweepConfig(
         families=families,
         ranks=_parse_ints(args.ranks),
@@ -474,7 +463,7 @@ def cmd_sweep(args: argparse.Namespace, family: Family, sector: Sector) -> int:
         check_properties=not args.skip_properties,
     )
     return _run_instances(
-        args, list(sweep_instances(config)), config.check_properties
+        args, sweep_instances(config), config.check_properties, args.jobs
     )
 
 
@@ -483,20 +472,12 @@ def cmd_sweep(args: argparse.Namespace, family: Family, sector: Sector) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    """The flags of the small commands."""
     sub.add_argument("--family", required=True, help="A, B, or D")
     sub.add_argument("--sector", default="integral",
                      help="integral (default) or half (doubled odd entries)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--out", default=None, help="write output to a file")
-
-
-def _add_grid(sub: argparse.ArgumentParser) -> None:
-    """The flags ``verify`` and ``sweep`` share."""
-    sub.add_argument("--max-entry", type=int, default=2)
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes, at least 1")
-    sub.add_argument("--timing", action="store_true",
-                     help="include per-instance milliseconds (non-deterministic)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,23 +526,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.set_defaults(func=_emit, compute=cmd_pmu)
 
-    p = subs.add_parser("verify", help="projected set equality (NDJSON)")
-    _add_common(p)
-    p.add_argument("--shape", default=None)
-    p.add_argument("--mu", default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--all-shapes", action="store_true")
-    _add_grid(p)
+    p = subs.add_parser("verify", help="projected set equality of one instance")
+    p.add_argument("--family", required=True, help="A, B, or D")
+    p.add_argument("--sector", default="integral",
+                   help="integral (default) or half (doubled odd entries)")
+    p.add_argument("--out", default=None, help="write output to a file")
+    p.add_argument("--shape", required=True)
+    p.add_argument("--mu", required=True)
+    p.add_argument("--timing", action="store_true",
+                   help="include per-instance milliseconds (non-deterministic)")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("sweep", help="verify plus property bundle over a grid")
-    _add_common(p)
-    p.add_argument("--families", default=None,
-                   help="comma list, defaults to --family")
+    p.add_argument("--family", required=True, help="comma list of A, B, D")
+    p.add_argument("--sectors", "--sector", default="integral",
+                   help="comma list of integral (default) and half")
+    p.add_argument("--out", default=None, help="write output to a file")
     p.add_argument("--ranks", required=True, help="comma list, e.g. 2,3")
-    p.add_argument("--sectors", default=None,
-                   help="comma list, defaults to --sector")
-    _add_grid(p)
+    p.add_argument("--max-entry", type=int, default=2)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
+    p.add_argument("--timing", action="store_true",
+                   help="include per-instance milliseconds (non-deterministic)")
     p.add_argument("--skip-properties", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -571,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _parse_family(args.family), _parse_sector(args.sector))
+        return args.func(args)
     except (ShapeError, MismatchError, NotDominantError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -366,8 +366,9 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def all_shapes(kind: GroupKind) -> list[LeviShape]:
-    """Every standard Levi shape for the group, deterministically ordered."""
+def all_shapes(kind: GroupKind) -> Iterator[LeviShape]:
+    """Every standard Levi shape for the group, generated in the order of
+    (orthogonal rank, GL sizes): :func:`compositions` is lexicographic."""
     n = kind.rank
     if kind.family is Family.A:
         so_ranks: list[int] = [0]
@@ -375,10 +376,6 @@ def all_shapes(kind: GroupKind) -> list[LeviShape]:
         so_ranks = list(range(n + 1))
     else:
         so_ranks = [0] + list(range(2, n + 1))
-    shapes = [
-        LeviShape(kind, gl, j)
-        for j in so_ranks
-        for gl in compositions(n - j)
-    ]
-    shapes.sort(key=lambda s: (s.so_rank, s.gl_sizes))
-    return shapes
+    for j in so_ranks:
+        for gl in compositions(n - j):
+            yield LeviShape(kind, gl, j)

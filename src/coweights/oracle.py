@@ -382,11 +382,17 @@ def _check_box(size: int, what: str) -> None:
         raise CapExceeded(f"{what} candidates exceeds the cap of {BOX_CAP}")
 
 
-def _box_values(mu: Coweight) -> list[int]:
+def _span(values: range) -> int:
+    """``len(values)`` for a range with a positive step, by arithmetic on its
+    bounds: ``len`` raises ``OverflowError`` past ``sys.maxsize``."""
+    return max(0, -((values.start - values.stop) // values.step))
+
+
+def _box_values(mu: Coweight) -> range:
+    """The entries |v| <= max|mu_i|, odd in the half sector (whose radius is
+    odd), as a range: nothing is built before the box is checked."""
     radius = max((abs(e) for e in mu.entries), default=0)
-    if mu.sector is Sector.HALF:
-        return [v for v in range(-radius, radius + 1) if v % 2 != 0]
-    return list(range(-radius, radius + 1))
+    return range(-radius, radius + 1, 2 if mu.sector is Sector.HALF else 1)
 
 
 def enumerate_Pmu(mu: Coweight) -> frozenset[Coweight]:
@@ -395,14 +401,16 @@ def enumerate_Pmu(mu: Coweight) -> frozenset[Coweight]:
     The search box |v_i| <= max|mu_i| suffices: the hull's vertices are
     signed permutations of ``mu``, so the hull lies in that sup-norm ball
     (the test suite probes the shell just outside to confirm).  Any rank
-    is accepted; a box of more than ``BOX_CAP`` candidates raises
-    :class:`CapExceeded` before the scan starts.
+    and radius is accepted; a box of more than ``BOX_CAP`` candidates
+    raises :class:`CapExceeded` before the scan starts, sized from its
+    bounds without building any candidate.
     """
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")
     n = mu.kind.rank
     vals = _box_values(mu)
-    _check_box(len(vals) ** n, f"the box of {len(vals)}^{n}")
+    width = _span(vals)
+    _check_box(width ** n, f"the box of {width}^{n}")
     out = []
     for vec in product(vals, repeat=n):
         candidate = Coweight(mu.kind, vec, mu.sector)
@@ -462,7 +470,7 @@ def valid_lifts(
         for size in shape.gl_sizes
     ]
     classes = so_classes(shape, sector)
-    size = prod(map(len, ranges)) * len(classes)
+    size = prod(map(_span, ranges)) * len(classes)
     _check_box(size, f"the lift box of {size}")
     return (
         minuscule_lift(shape, sums, so_class, sector)
@@ -739,7 +747,13 @@ class SweepConfig:
 def sweep_instances(
     config: SweepConfig,
 ) -> Iterator[tuple[LeviShape, Coweight]]:
-    """The instance grid of a sweep, in deterministic lexicographic order."""
+    """The instance grid of a sweep, in deterministic lexicographic order.
+
+    Every dominant grid is built when this is called, so a grid past
+    ``GRID_CAP`` raises :class:`CapExceeded` before the first instance; the
+    instances themselves are generated as they are consumed.
+    """
+    grids = []
     for family in sorted(config.families, key=lambda f: f.value):
         for rank in sorted(config.ranks):
             if family is Family.D and rank < 2:
@@ -748,10 +762,8 @@ def sweep_instances(
             for sector in sorted(config.sectors, key=lambda s: s.value):
                 if sector is Sector.HALF and family is not Family.D:
                     continue
-                mus = dominant_coweights(kind, sector, config.max_entry)
-                for shape in all_shapes(kind):
-                    for mu in mus:
-                        yield shape, mu
+                grids.append((kind, dominant_coweights(kind, sector, config.max_entry)))
+    return ((shape, mu) for kind, mus in grids for shape in all_shapes(kind) for mu in mus)
 
 
 def run_instance(

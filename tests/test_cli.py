@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, NDJSON schema, determinism."""
 
+import hashlib
 import json
 import shlex
 import subprocess
@@ -243,8 +244,7 @@ class TestSmallCommands:
 class TestVerify:
     def test_single_instance(self):
         proc = run_cli(
-            "verify", "--family", "A", "--rank", "3", "--shape", "2,1",
-            "--mu", "1,1,0",
+            "verify", "--family", "A", "--shape", "2,1", "--mu", "1,1,0",
         )
         assert proc.returncode == 0
         records = ndjson(proc.stdout)
@@ -258,8 +258,8 @@ class TestVerify:
 
     def test_grid_deterministic_bytes(self):
         args = (
-            "verify", "--family", "D", "--sector", "half", "--rank", "2",
-            "--all-shapes", "--max-entry", "3",
+            "sweep", "--family", "D", "--sector", "half", "--ranks", "2",
+            "--max-entry", "3", "--skip-properties",
         )
         first = run_cli(*args)
         second = run_cli(*args)
@@ -268,8 +268,8 @@ class TestVerify:
 
     def test_jobs_preserve_output(self):
         args = (
-            "verify", "--family", "B", "--rank", "2", "--all-shapes",
-            "--max-entry", "1",
+            "sweep", "--family", "B", "--ranks", "2", "--max-entry", "1",
+            "--skip-properties",
         )
         serial = run_cli(*args)
         parallel = run_cli(*args, "--jobs", "2")
@@ -277,10 +277,7 @@ class TestVerify:
         assert parallel.returncode == 0
 
     def test_timing_flag_adds_millis(self):
-        args = (
-            "verify", "--family", "A", "--rank", "2", "--shape", "2",
-            "--mu", "1,0",
-        )
+        args = ("verify", "--family", "A", "--shape", "2", "--mu", "1,0")
         plain = ndjson(run_cli(*args).stdout)[0]
         timed = ndjson(run_cli(*args, "--timing").stdout)[0]
         assert "millis" not in plain
@@ -292,8 +289,8 @@ class TestVerify:
 
     def test_zero_weight_grid_trivial_classes(self):
         proc = run_cli(
-            "verify", "--family", "A", "--rank", "2", "--max-entry", "0",
-            "--all-shapes",
+            "sweep", "--family", "A", "--ranks", "2", "--max-entry", "0",
+            "--skip-properties",
         )
         assert proc.returncode == 0
         records = ndjson(proc.stdout)
@@ -314,8 +311,8 @@ class TestSweepCommand:
 
     def test_multi_family_sweep_skips_properties(self):
         proc = run_cli(
-            "sweep", "--families", "A,B", "--family", "A", "--ranks", "1",
-            "--max-entry", "1", "--skip-properties",
+            "sweep", "--family", "A,B", "--ranks", "1", "--max-entry", "1",
+            "--skip-properties",
         )
         assert proc.returncode == 0
         records = ndjson(proc.stdout)
@@ -323,11 +320,41 @@ class TestSweepCommand:
         assert families == {"A", "B"}
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("sweep --family D --sector half --ranks 3 --max-entry 3 --skip-properties",
+     "c2c23b0825e0e51fbc656468b4c9fd9272b5ebda40784a3f38dc0e04edb50a47"),
+    ("sweep --family D --sectors half --ranks 3 --max-entry 3 --skip-properties",
+     "c2c23b0825e0e51fbc656468b4c9fd9272b5ebda40784a3f38dc0e04edb50a47"),
+    ("sweep --family A,B --ranks 1,2 --max-entry 1",
+     "8390581e4e1e92e3d8ce2ab2840c8fa4bc11cda9af4a3a147abc60b9df19f030"),
+], ids=["sector", "sectors", "family-list"])
+def test_sweep_grid_output_pinned(argv, digest, capsys):
+    """``sweep`` writes, byte for byte, what the grid paths it replaced
+    wrote: ``verify --all-shapes --rank 3`` (with ``--sector`` or
+    ``--sectors``) and ``sweep --families A,B --family A``."""
+    assert cli.main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --family A --shape 2 --mu 1,0 --all-shapes",
+    "verify --family A --shape 2 --mu 1,0 --format json",
+    "verify --family A --rank 3 --shape 2,1 --mu 1,1,0",
+    "sweep --families A,B --family A --ranks 1 --max-entry 1",
+], ids=["all-shapes", "format", "rank", "families"])
+def test_removed_grid_flags_exit_two(argv):
+    """The flags that verify and sweep no longer take are usage errors."""
+    proc = run_cli(*argv.split())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments" in proc.stderr
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "report.ndjson"
     proc = run_cli(
-        "verify", "--family", "A", "--rank", "2", "--shape", "1,1",
-        "--mu", "1,0", "--out", str(target),
+        "verify", "--family", "A", "--shape", "1,1", "--mu", "1,0",
+        "--out", str(target),
     )
     assert proc.returncode == 0
     records = [json.loads(line) for line in target.read_text().splitlines()]
@@ -341,8 +368,7 @@ def _raise_internal(*args, **kwargs):
 @pytest.mark.parametrize("argv, patched, code", [
     (["check", "--family", "B", "--mu", "2,0,0", "--x", "1,1/0,0"], None, 2),
     (["check", "--family", "B", "--mu", "", "--x", ""], None, 2),
-    (["verify", "--family", "A", "--shape", "2", "--mu", "1,0", "--jobs", "-3"],
-     None, 2),
+    (["sweep", "--family", "A", "--ranks", "1", "--jobs", "-3"], None, 2),
     (["sweep", "--family", "A", "--ranks", "1", "--jobs", "0"], None, 2),
     (["verify", "--family", "B", "--shape", "1,1,1,1,1,1", "--mu", "40,0,0,0,0,0"],
      None, 3),
@@ -352,17 +378,23 @@ def _raise_internal(*args, **kwargs):
      "run_instance", 3),
     (["sweep", "--family", "A", "--ranks", "4", "--max-entry", "1000000000"],
      None, 3),
+    (["sweep", "--family", "A", "--ranks", "2,9", "--max-entry", "40"], None, 3),
 ], ids=["zero-denominator", "empty-vectors", "negative-jobs", "zero-jobs",
-        "instance-cap", "box-cap", "command-raises", "instance-raises", "max-entry-cap"])
+        "instance-cap", "box-cap", "command-raises", "instance-raises", "max-entry-cap",
+        "grid-cap-before-records"])
 def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys):
-    """Every input ends in a contract exit code with a one-line message."""
+    """Every input ends in a contract exit code with a one-line message; an
+    input refused before its first instance writes nothing to stdout (the
+    A9 grid is refused before any A2 instance runs)."""
     if patched:
         monkeypatch.setattr(cli, patched, _raise_internal)
     assert cli.main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1
     if patched:
         assert err == "internal error: RuntimeError: unexpected\n"
+    if not err.startswith("instances stopped: "):
+        assert out == ""
 
 
 def test_box_cap_stops_verify(capsys):

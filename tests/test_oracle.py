@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -445,6 +446,30 @@ class TestScanCaps:
         shape = LeviShape(GroupKind(Family.B, 6), (1,) * 6)
         with pytest.raises(CapExceeded):
             oracle.instance_property_failures(shape, coweight("B", (4, 0, 0, 0, 0, 0)))
+
+    def test_pmu_box_past_maxsize_refused(self):
+        """A radius of 10^20: the box is sized from its bounds, where
+        ``len`` of a range would raise ``OverflowError``."""
+        with pytest.raises(CapExceeded):
+            enumerate_Pmu(coweight("A", (10**20,)))
+
+    def test_lift_box_past_maxsize_refused(self):
+        shape = LeviShape(GroupKind(Family.B, 1), (1,))
+        with pytest.raises(CapExceeded):
+            valid_lifts(shape, Sector.INTEGRAL, 10**20)
+
+    def test_refused_pmu_box_builds_nothing(self):
+        """The refused box of 4*10^6 + 1 candidates at rank 1 is never
+        built: the peak traced allocation stays under 1 MB."""
+        mu = coweight("A", (2 * 10**6,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded):
+                enumerate_Pmu(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "family,sector",
