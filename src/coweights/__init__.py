@@ -44,7 +44,6 @@ from .oracle import (
     SweepConfig,
     VerificationReport,
     caratheodory_in_hull,
-    convex_combination_bruteforce,
     dominant_coweights,
     enumerate_Pmu,
     sweep,
@@ -77,7 +76,6 @@ __all__ = [
     "check_batch_order",
     "class_of",
     "compositions",
-    "convex_combination_bruteforce",
     "coweight",
     "dominant_coweights",
     "dominant_reordering",

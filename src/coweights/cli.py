@@ -35,7 +35,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from .core import (
     CapExceeded,
@@ -116,7 +116,7 @@ def _parse_rationals(text: str) -> tuple[Scalar, ...]:
 
 def _parse_shape(text: str, kind: GroupKind) -> LeviShape:
     gl_text, _, so_text = text.partition(";")
-    gl = tuple(int(p) for p in gl_text.split(",") if p != "")
+    gl = _parse_ints(gl_text) if gl_text else ()
     so = int(so_text) if so_text else 0
     return LeviShape(kind, gl, so)
 
@@ -480,8 +480,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write output to a file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors, so :func:`main` reports them in one line
+    with exit code 2; subcommand parsers are of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coweights",
         description="Exact coweight-order and Levi-class computations "
                     "for the split classical families",
@@ -554,10 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ShapeError, MismatchError, NotDominantError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

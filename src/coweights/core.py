@@ -279,9 +279,9 @@ def in_hull(x: Coweight | Sequence[Scalar], mu: Coweight) -> bool:
     """Whether ``x`` lies in the convex hull of the Weyl orbit of ``mu``.
 
     Computed by normalizing ``x`` to its dominant representative (extended
-    verbatim to rational vectors) and checking ``leq`` against ``mu``.  The
-    brute-force cross-check living in :mod:`coweights.oracle` certifies the
-    same membership from an explicit convex combination.
+    verbatim to rational vectors) and checking ``leq`` against ``mu``.
+    :func:`coweights.oracle.caratheodory_in_hull` decides the same
+    membership with a certificate either way, without building the orbit.
     """
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")

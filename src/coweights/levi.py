@@ -159,8 +159,6 @@ class XMClass:
 def _check_compatible(shape: LeviShape, x: Coweight) -> None:
     if shape.kind != x.kind:
         raise MismatchError(f"kind mismatch: shape {shape.kind} vs {x.kind}")
-    if x.sector is Sector.HALF and shape.kind.family is not Family.D:
-        raise MismatchError("half sector requires family D")
 
 
 def project(shape: LeviShape, x: Coweight) -> LeviPoint:

@@ -3,13 +3,10 @@
 This module is the verification layer.  It enumerates everything the rest
 of the package computes cleverly:
 
-* explicit Weyl orbits (permutations, signed permutations, evenly signed
-  permutations);
 * convex-hull membership certified either way without building the
   orbit: a separating functional checked against the support function
   h(c) = <dominant rep of c, mu>, or an exact convex combination of at
-  most rank+1 orbit points, each checked to normalise to mu; and, for the
-  tests, the literal subset search over the explicit orbit;
+  most rank+1 orbit points, each checked to normalise to mu;
 * the set of lattice points of the orbit hull sharing the central class;
 * both sides of the projected set equality (hull classes vs. classes whose
   canonical lift projects into the hull), compared instance by instance;
@@ -17,7 +14,9 @@ of the package computes cleverly:
   equivalence and the reordering property suite.
 
 Everything is exact and deterministic: grids iterate in lexicographic
-order and reports carry their witnesses.
+order and reports carry their witnesses.  :func:`weyl_orbit` lists an
+orbit explicitly; no computation here calls it, the tests use it as
+their reference.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product
-from math import factorial, gcd, lcm, prod
+from itertools import islice, permutations, product
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -67,9 +66,6 @@ from .levi import (
 )
 from .reorder import check_batch_order, dominant_reordering
 
-# largest Weyl group the literal subset search accepts by default: it
-# enumerates the orbit
-DEFAULT_WEYL_CAP = 384
 # most dominant weights dominant_coweights builds before raising CapExceeded
 GRID_CAP = 100_000
 # most candidates a box scan (the Pmu box, the lift boxes, the beta grid)
@@ -80,14 +76,6 @@ BOX_CAP = 1_000_000
 # ---------------------------------------------------------------------------
 # Explicit Weyl orbits
 # ---------------------------------------------------------------------------
-
-def weyl_group_order(family: Family, rank: int) -> int:
-    if family is Family.A:
-        return factorial(rank)
-    if family is Family.B:
-        return 2**rank * factorial(rank)
-    return 2 ** (rank - 1) * factorial(rank)
-
 
 def weyl_orbit(family: Family, entries: Sequence[Scalar]) -> list[Vector]:
     """The full Weyl orbit of a vector, sorted lexicographically.
@@ -135,73 +123,6 @@ def _check_combination(
         for coord, e in enumerate(exact)
     ):
         raise ArithmeticError(f"weights {weights} do not combine to {tuple(target)}")
-
-
-def _solve_support_weights(
-    chosen: Sequence[Vector], target: Sequence[Scalar]
-) -> list[Fraction] | None:
-    """Solve (weights sum to 1, weighted point sum = target) by elimination.
-
-    Only full-column-rank systems are solved; rank-deficient supports are
-    skipped because a smaller support then realizes the same point.
-    """
-    k = len(chosen)
-    dim = len(tuple(target))
-    rows = [
-        [Fraction(chosen[jcol][i]) for jcol in range(k)] + [Fraction(tuple(target)[i])]
-        for i in range(dim)
-    ]
-    rows.append([Fraction(1)] * k + [Fraction(1)])
-    pivot_row = 0
-    where: list[int] = []
-    for col in range(k):
-        sel = next(
-            (i for i in range(pivot_row, len(rows)) if rows[i][col] != 0), None
-        )
-        if sel is None:
-            return None
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = [e * inv for e in rows[pivot_row]]
-        for i in range(len(rows)):
-            if i != pivot_row and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pivot_row])]
-        where.append(pivot_row)
-        pivot_row += 1
-    if any(rows[i][k] != 0 for i in range(pivot_row, len(rows))):
-        return None
-    return [rows[where[col]][k] for col in range(k)]
-
-
-def convex_combination_bruteforce(
-    x: Coweight | Sequence[Scalar],
-    mu: Coweight,
-    *,
-    weyl_cap: int = DEFAULT_WEYL_CAP,
-) -> dict[Vector, Fraction] | None:
-    """Literal support search: try every orbit subset of size <= rank+1.
-
-    Exponentially slower than :func:`caratheodory_in_hull` but a direct
-    transcription of the definition over the explicit :func:`weyl_orbit`;
-    the tests compare the face descent against it.  A Weyl group of more
-    than ``weyl_cap`` elements raises :class:`CapExceeded`.
-    """
-    if not is_dominant(mu):
-        raise NotDominantError(f"mu={mu} is not dominant")
-    order = weyl_group_order(mu.kind.family, mu.kind.rank)
-    if order > weyl_cap:
-        raise CapExceeded(
-            f"Weyl group order {order} exceeds the cap {weyl_cap}"
-        )
-    target = coerce_vector(x, mu)
-    pts = weyl_orbit(mu.kind.family, mu.entries)
-    for size in range(1, len(target) + 2):
-        for chosen in combinations(pts, size):
-            weights = _solve_support_weights(chosen, target)
-            if weights is not None and all(w >= 0 for w in weights):
-                return {c: w for c, w in zip(chosen, weights) if w}
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -437,10 +358,6 @@ class VerificationReport:
     witnesses: tuple[tuple[XMClass, Coweight], ...]
     millis: float
     property_failures: tuple[str, ...] = ()
-
-    @property
-    def kind(self) -> GroupKind:
-        return self.mu.kind
 
     @property
     def ok(self) -> bool:

@@ -379,9 +379,17 @@ def _raise_internal(*args, **kwargs):
     (["sweep", "--family", "A", "--ranks", "4", "--max-entry", "1000000000"],
      None, 3),
     (["sweep", "--family", "A", "--ranks", "2,9", "--max-entry", "40"], None, 3),
+    (["verify", "--family", "A", "--rank", "2", "--shape", "2", "--mu", "1,0"], None, 2),
+    (["sweep", "--family", "A"], None, 2),
+    (["check", "--family", "B", "--mu", "2,0,0", "--x", "1,1,0", "--format", "yaml"],
+     None, 2),
+    (["frobnicate", "--family", "A"], None, 2),
+    (["class", "--family", "A", "--shape", "2,,1", "--x", "1,0,0"], None, 2),
+    (["class", "--family", "A", "--shape", ",2,1,", "--x", "1,0,0"], None, 2),
 ], ids=["zero-denominator", "empty-vectors", "negative-jobs", "zero-jobs",
         "instance-cap", "box-cap", "command-raises", "instance-raises", "max-entry-cap",
-        "grid-cap-before-records"])
+        "grid-cap-before-records", "unknown-flag", "missing-flag", "invalid-choice",
+        "unknown-command", "shape-empty-item", "shape-empty-ends"])
 def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys):
     """Every input ends in a contract exit code with a one-line message; an
     input refused before its first instance writes nothing to stdout (the
@@ -395,6 +403,17 @@ def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys):
         assert err == "internal error: RuntimeError: unexpected\n"
     if not err.startswith("instances stopped: "):
         assert out == ""
+
+
+def test_help_exits_zero_on_stdout(capsys):
+    """Usage errors return 2 from ``main``; ``--help`` still exits 0 with
+    its usage on standard output."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert out.startswith("usage: coweights verify ")
+    assert err == ""
 
 
 def test_box_cap_stops_verify(capsys):

@@ -8,7 +8,13 @@ from itertools import product
 
 import pytest
 
-from conftest import FAMILY_SECTORS, entry_values, ranks_for
+from conftest import (
+    FAMILY_SECTORS,
+    convex_combination_bruteforce,
+    entry_values,
+    ranks_for,
+    weyl_group_order,
+)
 from coweights import (
     CapExceeded,
     Coweight,
@@ -21,7 +27,6 @@ from coweights import (
     all_shapes,
     caratheodory_in_hull,
     class_of,
-    convex_combination_bruteforce,
     coweight,
     dominant_coweights,
     dominant_representative,
@@ -41,7 +46,6 @@ from coweights.oracle import (
     _support,
     batch_end_agreement,
     valid_lifts,
-    weyl_group_order,
 )
 
 
