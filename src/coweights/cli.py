@@ -1,29 +1,21 @@
 """Command-line front end: single queries, reordering walkthroughs, sweeps.
 
-Subcommands
------------
-check    order, class, and hull membership of one point against one weight
-class    canonical lift of a point modulo a Levi's coroot lattice
-project  batch averages of a point for a Levi shape
-lift     canonical lift from batch sums plus an orthogonal class
-eta      the merge-and-repair reordering, stage by stage
-pmu      lattice points of the orbit hull sharing the central class
-verify   the projected set equality for one (shape, mu) instance
-sweep    the set equality, plus the per-instance property bundle, over the
-         grid of every shape and dominant weight of the listed families,
-         ranks and sectors
+Each subcommand is a row of :func:`_commands` (its help, handler and
+flags), and each flag a row of :data:`_FLAGS`; ``coweights --help`` lists
+the subcommands.
 
 The small commands write text lines, or with ``--format json`` one record
 opening with ``schema, command, family, sector``; ``eta`` reports a failed
 precondition as ``precondition_failed`` with ``"ok": false``.  ``verify``
 and ``sweep`` write newline-delimited JSON: each instance's record as soon
 as it is done, in grid order also with ``sweep --jobs`` (at least 1), then
-a summary, so output is byte-identical for identical inputs; timing is
-opt-in via ``--timing``.
+a summary, so output is byte-identical for identical inputs.  ``sweep``
+draws at most ``4 * jobs`` instances ahead of the record it writes.
 
 Exit codes: 0 all requested relations hold; 1 a mathematical verdict is
-false (or a reordering precondition fails); 2 usage or validation error;
-3 enumeration cap or any unexpected internal error, reported on one line.
+false (or a reordering precondition fails); 2 usage or validation error,
+an unwritable ``--out`` included; 3 enumeration cap or any unexpected
+internal error, reported on one line.
 """
 
 from __future__ import annotations
@@ -32,10 +24,10 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
-from typing import Any, Iterable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .core import (
     CapExceeded,
@@ -58,6 +50,7 @@ from .core import (
 )
 from .levi import LeviShape, class_of, minuscule_lift, project
 from .oracle import (
+    BOX_CAP,
     SweepConfig,
     VerificationReport,
     enumerate_Pmu,
@@ -78,20 +71,27 @@ EXIT_INTERNAL = 3
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _parse_family(text: str) -> Family:
+def _family(text: str) -> Family:
     try:
         return Family(text.upper())
     except ValueError:
-        raise ValueError(f"unknown family {text!r} (expected A, B, or D)")
+        raise argparse.ArgumentTypeError(f"unknown family {text!r} (expected A, B, or D)")
 
 
-def _parse_sector(text: str) -> Sector:
-    aliases = {"int": Sector.INTEGRAL, "integral": Sector.INTEGRAL,
-               "half": Sector.HALF}
+def _sector(text: str) -> Sector:
     try:
-        return aliases[text.lower()]
-    except KeyError:
-        raise ValueError(f"unknown sector {text!r} (expected integral or half)")
+        return Sector(text.lower())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"unknown sector {text!r} (expected integral or half)")
+
+
+def _families(text: str) -> tuple[Family, ...]:
+    return tuple(_family(part) for part in text.split(","))
+
+
+def _sectors(text: str) -> tuple[Sector, ...]:
+    return tuple(_sector(part) for part in text.split(","))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -151,7 +151,7 @@ def _instance_json(shape: LeviShape, mu: Coweight) -> dict[str, Any]:
     }
 
 
-def report_json(report: VerificationReport, timing: bool) -> dict[str, Any]:
+def report_json(report: VerificationReport) -> dict[str, Any]:
     record: dict[str, Any] = {
         **_instance_json(report.shape, report.mu),
         "lhs": [_class_json(c) for c in sorted(report.lhs_classes, key=lambda c: c.sort_key())],
@@ -166,14 +166,18 @@ def report_json(report: VerificationReport, timing: bool) -> dict[str, Any]:
     }
     if report.property_failures:
         record["property_failures"] = list(report.property_failures)
-    if timing:
-        record["millis"] = report.millis
     return record
 
 
 class _Writer:
+    """Standard output, or the ``--out`` file, opened only once every
+    argument has been validated; an unwritable path is a usage error."""
+
     def __init__(self, path: str | None):
-        self._file = open(path, "w", encoding="utf-8") if path else sys.stdout
+        try:
+            self._file = open(path, "w", encoding="utf-8") if path else sys.stdout
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}")
         self._owned = path is not None
 
     def record(self, payload: dict[str, Any]) -> None:
@@ -304,6 +308,8 @@ def cmd_project(args: argparse.Namespace, family: Family, sector: Sector) -> Emi
 
 
 def cmd_lift(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
+    if args.rank > BOX_CAP:  # the only rank not bounded by a typed vector
+        raise CapExceeded(f"a lift of rank {args.rank} exceeds the cap of {BOX_CAP}")
     shape = _parse_shape(args.shape, GroupKind(family, args.rank))
     sums = _parse_ints(args.sums) if args.sums else ()
     lift = minuscule_lift(shape, sums, args.so_class, sector)
@@ -364,19 +370,14 @@ def cmd_pmu(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted
     return fields, [str(p) for p in points] + [f"count: {len(points)}"], True
 
 
-def _emit(args: argparse.Namespace) -> int:
+def _emit(compute: Callable[..., Emitted], args: argparse.Namespace) -> int:
     """Run a small command; write its record (``--format json``) or lines."""
-    family, sector = _parse_family(args.family), _parse_sector(args.sector)
-    fields, lines, ok = args.compute(args, family, sector)
+    fields, lines, ok = compute(args, args.family, args.sector)
     writer = _Writer(args.out)
     if args.format == "json":
-        writer.record({
-            "schema": SCHEMA,
-            "command": args.command,
-            "family": family.value,
-            "sector": sector.value,
-            **fields,
-        })
+        header = {"schema": SCHEMA, "command": args.command}
+        writer.record({**header, "family": args.family.value,
+                       "sector": args.sector.value, **fields})
     else:
         for text in lines:
             writer.line(text)
@@ -395,12 +396,25 @@ def _verify_worker(
         return {**_instance_json(shape, mu), "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _run_instances(
-    args: argparse.Namespace,
-    instances: Iterable[tuple[LeviShape, Coweight]],
-    check_properties: bool,
-    jobs: int = 1,
-) -> int:
+def _results(worker: Callable, instances: Iterable, jobs: int) -> Iterator:
+    """``worker`` over ``instances``, in order: serially, or on ``jobs``
+    processes with at most ``4 * jobs`` instances in flight, so a grid is
+    drawn as its records are written rather than all up front."""
+    if jobs == 1:
+        yield from map(worker, instances)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        window: deque[Future] = deque()
+        for instance in instances:
+            window.append(pool.submit(worker, instance))
+            if len(window) == 4 * jobs:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+
+def _run_instances(out: str | None, instances: Iterable[tuple[LeviShape, Coweight]],
+                   check_properties: bool, jobs: int = 1) -> int:
     """Write one record per instance, in order, as each arrives; then a
     summary, which counts them.  Stopped instances also get one stderr
     line: their count and the first one's error."""
@@ -409,61 +423,47 @@ def _run_instances(
     worker = functools.partial(_verify_worker, check_properties=check_properties)
     count = unequal = errors = 0
     first_error = ""
-    writer = _Writer(args.out)
+    writer = _Writer(out)
     try:
-        with (
-            ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
-        ) as pool:
-            for result in (pool.map if pool else map)(worker, instances):
-                count += 1
-                if isinstance(result, dict):
-                    errors += 1
-                    first_error = first_error or result["error"]
-                    writer.record(result)
-                    continue
-                if not result.ok:
-                    unequal += 1
-                writer.record(report_json(result, args.timing))
-        writer.record({
-            "schema": SCHEMA,
-            "summary": True,
-            "instances": count,
-            "ok": count - unequal - errors,
-            "failed": unequal,
-            "errors": errors,
-        })
+        for result in _results(worker, instances, jobs):
+            count += 1
+            if isinstance(result, dict):
+                errors += 1
+                first_error = first_error or result["error"]
+            else:
+                unequal += not result.ok
+                result = report_json(result)
+            writer.record(result)
+        writer.record({"schema": SCHEMA, "summary": True, "instances": count,
+                       "ok": count - unequal - errors, "failed": unequal,
+                       "errors": errors})
     finally:
         writer.close()
     if errors:
-        print(
-            f"instances stopped: {errors} of {count}; first: {first_error}",
-            file=sys.stderr,
-        )
+        print(f"instances stopped: {errors} of {count}; first: {first_error}",
+              file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_FALSE if unequal else EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    family, sector = _parse_family(args.family), _parse_sector(args.sector)
-    mu = coweight(family, _parse_ints(args.mu), sector)
+    mu = coweight(args.family, _parse_ints(args.mu), args.sector)
     shape = _parse_shape(args.shape, mu.kind)
     if not is_dominant(mu):
         raise ValueError(f"--mu {args.mu} is not dominant")
-    return _run_instances(args, [(shape, mu)], check_properties=False)
+    return _run_instances(args.out, [(shape, mu)], check_properties=False)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    families = tuple(_parse_family(f) for f in args.family.split(","))
-    sectors = tuple(_parse_sector(s) for s in args.sectors.split(","))
     config = SweepConfig(
-        families=families,
+        families=args.family,
         ranks=_parse_ints(args.ranks),
         max_entry=args.max_entry,
-        sectors=sectors,
+        sectors=args.sectors,
         check_properties=not args.skip_properties,
     )
     return _run_instances(
-        args, sweep_instances(config), config.check_properties, args.jobs
+        args.out, sweep_instances(config), config.check_properties, args.jobs
     )
 
 
@@ -471,13 +471,59 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    """The flags of the small commands."""
-    sub.add_argument("--family", required=True, help="A, B, or D")
-    sub.add_argument("--sector", default="integral",
-                     help="integral (default) or half (doubled odd entries)")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out", default=None, help="write output to a file")
+# Every flag once: its spellings, then its ``add_argument`` keywords.
+_FLAGS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
+    "family": (("--family",), dict(required=True, type=_family, help="A, B, or D")),
+    "families": (("--family",), dict(
+        required=True, type=_families, help="comma list of A, B, D")),
+    "sector": (("--sector",), dict(
+        default="integral", type=_sector,
+        help="integral (default) or half (doubled odd entries)")),
+    "sectors": (("--sectors", "--sector"), dict(
+        default="integral", type=_sectors,
+        help="comma list of integral (default) and half")),
+    "format": (("--format",), dict(choices=("text", "json"), default="text")),
+    "out": (("--out",), dict(default=None, help="write output to a file")),
+    "mu": (("--mu",), dict(required=True)),
+    "x": (("--x",), dict(required=True)),
+    "x_fraction": (("--x",), dict(
+        required=True, help="comma-separated integers or fractions like 3/2")),
+    "nu": (("--nu",), dict(required=True)),
+    "shape": (("--shape",), dict(required=True, help="e.g. 2,1,1;2")),
+    "rank": (("--rank",), dict(type=int, required=True)),
+    "sums": (("--sums",), dict(default="", help="comma-separated batch sums")),
+    "so_class": (("--so-class",), dict(type=int, default=None)),
+    "ranks": (("--ranks",), dict(required=True, help="comma list, e.g. 2,3")),
+    "max_entry": (("--max-entry",), dict(type=int, default=2)),
+    "jobs": (("--jobs",), dict(type=int, default=1, help="worker processes, at least 1")),
+    "skip_properties": (("--skip-properties",), dict(action="store_true")),
+}
+
+
+def _commands() -> list[tuple[str, str, Callable[[argparse.Namespace], int], str]]:
+    """(name, help, handler, flags) of every subcommand; the small commands'
+    handlers hand their record to :func:`_emit`.  Built with the parser, so
+    each handler is the module's current function."""
+    small = "family sector format out"
+    return [
+        ("check", "order, class and hull membership of x against mu",
+         functools.partial(_emit, cmd_check), f"{small} mu x_fraction"),
+        ("class", "canonical lift of x modulo a Levi's coroot lattice",
+         functools.partial(_emit, cmd_class), f"{small} shape x"),
+        ("project", "batch averages of x for a Levi shape",
+         functools.partial(_emit, cmd_project), f"{small} shape x"),
+        ("lift", "canonical lift from batch sums plus an orthogonal class",
+         functools.partial(_emit, cmd_lift), f"{small} shape rank sums so_class"),
+        ("eta", "the merge-and-repair reordering, stage by stage",
+         functools.partial(_emit, cmd_eta), f"{small} shape nu"),
+        ("pmu", "hull lattice points sharing mu's central class",
+         functools.partial(_emit, cmd_pmu), f"{small} mu"),
+        ("verify", "the projected set equality of one (shape, mu) instance",
+         cmd_verify, "family sector out shape mu"),
+        ("sweep", "the set equality, plus the property bundle, over every shape "
+         "and dominant weight of the listed families, ranks and sectors",
+         cmd_sweep, "families sectors out ranks max_entry jobs skip_properties"),
+    ]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -495,69 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "for the split classical families",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("check", help="order/class/hull of x against mu")
-    _add_common(p)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--x", required=True,
-                   help="comma-separated integers or fractions like 3/2")
-    p.set_defaults(func=_emit, compute=cmd_check)
-
-    p = subs.add_parser("class", help="canonical lift of x for a Levi shape")
-    _add_common(p)
-    p.add_argument("--shape", required=True, help="e.g. 2,1,1;2")
-    p.add_argument("--x", required=True)
-    p.set_defaults(func=_emit, compute=cmd_class)
-
-    p = subs.add_parser("project", help="batch averages of x for a Levi shape")
-    _add_common(p)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--x", required=True)
-    p.set_defaults(func=_emit, compute=cmd_project)
-
-    p = subs.add_parser("lift", help="canonical lift from class data")
-    _add_common(p)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--sums", default="", help="comma-separated batch sums")
-    p.add_argument("--so-class", dest="so_class", type=int, default=None)
-    p.set_defaults(func=_emit, compute=cmd_lift)
-
-    p = subs.add_parser("eta", help="dominant reordering of a block-minuscule point")
-    _add_common(p)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--nu", required=True)
-    p.set_defaults(func=_emit, compute=cmd_eta)
-
-    p = subs.add_parser("pmu", help="hull lattice points sharing mu's class")
-    _add_common(p)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(func=_emit, compute=cmd_pmu)
-
-    p = subs.add_parser("verify", help="projected set equality of one instance")
-    p.add_argument("--family", required=True, help="A, B, or D")
-    p.add_argument("--sector", default="integral",
-                   help="integral (default) or half (doubled odd entries)")
-    p.add_argument("--out", default=None, help="write output to a file")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--timing", action="store_true",
-                   help="include per-instance milliseconds (non-deterministic)")
-    p.set_defaults(func=cmd_verify)
-
-    p = subs.add_parser("sweep", help="verify plus property bundle over a grid")
-    p.add_argument("--family", required=True, help="comma list of A, B, D")
-    p.add_argument("--sectors", "--sector", default="integral",
-                   help="comma list of integral (default) and half")
-    p.add_argument("--out", default=None, help="write output to a file")
-    p.add_argument("--ranks", required=True, help="comma list, e.g. 2,3")
-    p.add_argument("--max-entry", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
-    p.add_argument("--timing", action="store_true",
-                   help="include per-instance milliseconds (non-deterministic)")
-    p.add_argument("--skip-properties", action="store_true")
-    p.set_defaults(func=cmd_sweep)
-
+    for name, help_text, handler, flags in _commands():
+        sub = subs.add_parser(name, help=help_text)
+        for flag in flags.split():
+            spellings, options = _FLAGS[flag]
+            sub.add_argument(*spellings, **options)
+        sub.set_defaults(func=handler)
     return parser
 
 

@@ -21,7 +21,6 @@ their reference.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -356,7 +355,6 @@ class VerificationReport:
     missing_from_lhs: tuple[XMClass, ...]
     missing_from_rhs: tuple[XMClass, ...]
     witnesses: tuple[tuple[XMClass, Coweight], ...]
-    millis: float
     property_failures: tuple[str, ...] = ()
 
     @property
@@ -408,7 +406,6 @@ def verify_main_theorem(shape: LeviShape, mu: Coweight) -> VerificationReport:
     """
     if shape.kind != mu.kind:
         raise MismatchError(f"kind mismatch: shape {shape.kind} vs {mu.kind}")
-    start = time.perf_counter()
 
     points = sorted(enumerate_Pmu(mu), key=lambda c: c.entries)
     witness: dict[XMClass, Coweight] = {}
@@ -425,7 +422,6 @@ def verify_main_theorem(shape: LeviShape, mu: Coweight) -> VerificationReport:
 
     missing_from_lhs = tuple(sorted(rhs - lhs, key=XMClass.sort_key))
     missing_from_rhs = tuple(sorted(lhs - rhs, key=XMClass.sort_key))
-    millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         shape=shape,
         mu=mu,
@@ -437,7 +433,6 @@ def verify_main_theorem(shape: LeviShape, mu: Coweight) -> VerificationReport:
         witnesses=tuple(
             sorted(witness.items(), key=lambda kv: kv[0].sort_key())
         ),
-        millis=millis,
     )
 
 

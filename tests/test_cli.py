@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, NDJSON schema, determinism."""
 
+import argparse
 import hashlib
 import json
 import shlex
@@ -12,6 +13,7 @@ import pytest
 from coweights import (
     Family, GroupKind, LeviShape, Sector, SweepConfig, cli, coweight, oracle, sweep,
 )
+from coweights.oracle import sweep_instances
 
 
 def run_cli(*args):
@@ -276,13 +278,6 @@ class TestVerify:
         assert serial.stdout == parallel.stdout
         assert parallel.returncode == 0
 
-    def test_timing_flag_adds_millis(self):
-        args = ("verify", "--family", "A", "--shape", "2", "--mu", "1,0")
-        plain = ndjson(run_cli(*args).stdout)[0]
-        timed = ndjson(run_cli(*args, "--timing").stdout)[0]
-        assert "millis" not in plain
-        assert "millis" in timed
-
     def test_missing_arguments_exit_two(self):
         proc = run_cli("verify", "--family", "A")
         assert proc.returncode == 2
@@ -341,12 +336,17 @@ def test_sweep_grid_output_pinned(argv, digest, capsys):
     "verify --family A --shape 2 --mu 1,0 --format json",
     "verify --family A --rank 3 --shape 2,1 --mu 1,1,0",
     "sweep --families A,B --family A --ranks 1 --max-entry 1",
-], ids=["all-shapes", "format", "rank", "families"])
+    "verify --family A --shape 2 --mu 1,0 --timing",
+    "sweep --family A --ranks 1 --max-entry 0 --timing",
+], ids=["all-shapes", "format", "rank", "families", "verify-timing", "sweep-timing"])
 def test_removed_grid_flags_exit_two(argv):
-    """The flags that verify and sweep no longer take are usage errors."""
+    """The flags that verify and sweep no longer take are usage errors;
+    ``--timing`` went because it was the one output whose bytes changed
+    from run to run."""
     proc = run_cli(*argv.split())
     assert proc.returncode == 2
     assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     assert "unrecognized arguments" in proc.stderr
 
 
@@ -359,6 +359,132 @@ def test_out_flag_writes_file(tmp_path):
     assert proc.returncode == 0
     records = [json.loads(line) for line in target.read_text().splitlines()]
     assert records[0]["equal"] is True
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ("check --family A --mu 1 --x 1 --out {tmp}/no/x", "No such file or directory"),
+    ("sweep --family A --ranks 1 --max-entry 0 --jobs 2 --out {tmp}/no/x",
+     "No such file or directory"),
+    ("pmu --family B --mu 1,1 --out {tmp}", "Is a directory"),
+], ids=["check", "sweep", "pmu"])
+def test_unwritable_out_is_usage_error(argv, reason, tmp_path, capsys):
+    """An ``--out`` that cannot be opened is one ``error:`` line naming it."""
+    argv = argv.replace("{tmp}", str(tmp_path)).split()
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write --out {argv[-1]}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "check --family A --mu 0,1 --x 1,0",
+    "verify --family A --shape 2 --mu 0,1",
+    "sweep --family A --ranks 1 --jobs 0",
+    "sweep --family Q --ranks 1",
+], ids=["check", "verify", "sweep-jobs", "sweep-family"])
+def test_usage_error_leaves_out_file(argv, tmp_path, capsys):
+    """The ``--out`` file is opened only after the arguments pass, so a
+    usage error leaves an existing file as it was."""
+    target = tmp_path / "kept.txt"
+    target.write_text("kept\n")
+    assert cli.main([*argv.split(), "--out", str(target)]) == 2
+    assert target.read_text() == "kept\n"
+    assert capsys.readouterr().out == ""
+
+
+def test_jobs_draw_a_bounded_window(monkeypatch, capsys):
+    """With ``--jobs 2`` at most ``4 * 2`` instances are drawn before the
+    first record is written, so a grid streams at every job count."""
+    config = SweepConfig(families=(Family.A,), ranks=(3,), max_entry=1,
+                         check_properties=False)
+    drawn = []
+
+    def counting():
+        for instance in sweep_instances(config):
+            drawn.append(instance)
+            yield instance
+
+    drawn_at_first_record = []
+    record = cli._Writer.record
+
+    def noting(self, payload):
+        drawn_at_first_record.append(len(drawn))
+        record(self, payload)
+
+    monkeypatch.setattr(cli._Writer, "record", noting)
+    assert cli._run_instances(None, counting(), False, jobs=2) == 0
+    assert len(drawn) == 16
+    assert drawn_at_first_record[0] <= 8
+    assert len(ndjson(capsys.readouterr().out)) == 17
+
+
+_COMMON = [
+    (("--family",), None, True, None, "_family"),
+    (("--sector",), "integral", False, None, "_sector"),
+]
+_SMALL = [
+    *_COMMON,
+    (("--format",), "text", False, ("text", "json"), None),
+    (("--out",), None, False, None, None),
+]
+_OUT = (("--out",), None, False, None, None)
+_MU = (("--mu",), None, True, None, None)
+_SHAPE = (("--shape",), None, True, None, None)
+_X = (("--x",), None, True, None, None)
+PARSER_FLAGS = {
+    "check": [*_SMALL, _MU, _X],
+    "class": [*_SMALL, _SHAPE, _X],
+    "project": [*_SMALL, _SHAPE, _X],
+    "lift": [*_SMALL, _SHAPE, (("--rank",), None, True, None, "int"),
+             (("--sums",), "", False, None, None),
+             (("--so-class",), None, False, None, "int")],
+    "eta": [*_SMALL, _SHAPE, (("--nu",), None, True, None, None)],
+    "pmu": [*_SMALL, _MU],
+    "verify": [*_COMMON, _OUT, _SHAPE, _MU],
+    "sweep": [
+        (("--family",), None, True, None, "_families"),
+        (("--sectors", "--sector"), "integral", False, None, "_sectors"),
+        _OUT,
+        (("--ranks",), None, True, None, None),
+        (("--max-entry",), 2, False, None, "int"),
+        (("--jobs",), 1, False, None, "int"),
+        (("--skip-properties",), False, False, None, None),
+    ],
+}
+
+
+def test_parser_flags_pinned():
+    """Every subcommand's flags, in order: spellings, default, required,
+    choices and type.  Only the type of ``--family`` and ``--sector(s)``
+    changed when the parser became one table, and ``--timing`` went."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {
+        name: [
+            (tuple(a.option_strings), a.default, a.required, a.choices,
+             getattr(a.type, "__name__", None))
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sub in subs.choices.items()
+    }
+    assert table == PARSER_FLAGS
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("check --family Q --mu 1 --x 1",
+     "argument --family: unknown family 'Q' (expected A, B, or D)"),
+    ("verify --family A --sector int --shape 1 --mu 1",
+     "argument --sector: unknown sector 'int' (expected integral or half)"),
+    ("sweep --family A,E --ranks 1",
+     "argument --family: unknown family 'E' (expected A, B, or D)"),
+    ("sweep --family D --sectors integral,third --ranks 2",
+     "argument --sectors/--sector: unknown sector 'third' (expected integral or half)"),
+], ids=["family", "sector", "families", "sectors"])
+def test_family_and_sector_errors_keep_their_message(argv, message, capsys):
+    """The flag definitions convert ``--family`` and ``--sector(s)``; their
+    own message survives argparse, after its ``argument`` prefix."""
+    assert cli.main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _raise_internal(*args, **kwargs):
@@ -386,21 +512,33 @@ def _raise_internal(*args, **kwargs):
     (["frobnicate", "--family", "A"], None, 2),
     (["class", "--family", "A", "--shape", "2,,1", "--x", "1,0,0"], None, 2),
     (["class", "--family", "A", "--shape", ",2,1,", "--x", "1,0,0"], None, 2),
+    (["check", "--family", "A", "--mu", "1", "--x", "1", "--out", "{tmp}/no/dir/x"],
+     None, 2),
+    (["sweep", "--family", "A", "--ranks", "2", "--out", "{tmp}/no/x"], None, 2),
+    (["pmu", "--family", "B", "--mu", "1,1", "--out", "{tmp}"], None, 2),
+    (["lift", "--family", "A", "--rank", str(10**30), "--shape", str(10**30),
+      "--sums", "0"], None, 3),
 ], ids=["zero-denominator", "empty-vectors", "negative-jobs", "zero-jobs",
         "instance-cap", "box-cap", "command-raises", "instance-raises", "max-entry-cap",
         "grid-cap-before-records", "unknown-flag", "missing-flag", "invalid-choice",
-        "unknown-command", "shape-empty-item", "shape-empty-ends"])
-def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys):
+        "unknown-command", "shape-empty-item", "shape-empty-ends", "out-missing-dir",
+        "sweep-out-missing-dir", "out-is-directory", "lift-huge-rank"])
+def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys, tmp_path):
     """Every input ends in a contract exit code with a one-line message; an
     input refused before its first instance writes nothing to stdout (the
-    A9 grid is refused before any A2 instance runs)."""
+    A9 grid is refused before any A2 instance runs).  Only a patched
+    function raises an internal error.  ``{tmp}`` in an argument stands
+    for a fresh directory."""
     if patched:
         monkeypatch.setattr(cli, patched, _raise_internal)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1
     if patched:
         assert err == "internal error: RuntimeError: unexpected\n"
+    else:
+        assert not err.startswith("internal error: ")
     if not err.startswith("instances stopped: "):
         assert out == ""
 
@@ -482,7 +620,7 @@ def test_library_sweep_matches_cli_lines(capsys):
         sectors=(Sector.INTEGRAL, Sector.HALF),
     )
     expected = [
-        json.dumps(cli.report_json(r, False), separators=(", ", ": "))
+        json.dumps(cli.report_json(r), separators=(", ", ": "))
         for r in sweep(config)
     ]
     assert code == 0
