@@ -114,11 +114,18 @@ def _parse_rationals(text: str) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-def _parse_shape(text: str, kind: GroupKind) -> LeviShape:
+def _parse_shape(text: str, family: Family, rank: int | None = None) -> LeviShape:
+    """``"2,1;2"`` as GL blocks (2, 1) and orthogonal rank 2, of the given
+    rank or else of the rank the blocks fill, which must not pass
+    ``BOX_CAP``: a lift builds one entry per coordinate."""
     gl_text, _, so_text = text.partition(";")
     gl = _parse_ints(gl_text) if gl_text else ()
     so = int(so_text) if so_text else 0
-    return LeviShape(kind, gl, so)
+    if rank is None:
+        rank = sum(gl) + so
+        if rank > BOX_CAP:
+            raise CapExceeded(f"a shape of rank {rank} exceeds the cap of {BOX_CAP}")
+    return LeviShape(GroupKind(family, rank), gl, so)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +236,7 @@ def _lattice_point(
     """``x_vec`` (in the units of ``sector``) as a lattice point of its own
     sector, or None, decided by denominators: all entries in Z, or in
     family D all in Z + 1/2.  Doubled, that is all even or all odd."""
-    doubled = [Fraction(e) * (1 if sector is Sector.HALF else 2) for e in x_vec]
+    doubled = [Fraction(e) * 2 / sector.unit for e in x_vec]
     parities = {e.numerator % 2 if e.denominator == 1 else None for e in doubled}
     if parities == {0}:
         return coweight(family, tuple(e.numerator // 2 for e in doubled), Sector.INTEGRAL)
@@ -279,7 +286,7 @@ def cmd_check(args: argparse.Namespace, family: Family, sector: Sector) -> Emitt
 
 def cmd_class(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
     x = coweight(family, _parse_ints(args.x), sector)
-    shape = _parse_shape(args.shape, x.kind)
+    shape = _parse_shape(args.shape, family, x.kind.rank)
     cls = class_of(shape, x)
     fields = {"shape": str(shape), "x": list(x.entries), **_class_json(cls)}
     lines = [
@@ -292,7 +299,7 @@ def cmd_class(args: argparse.Namespace, family: Family, sector: Sector) -> Emitt
 
 def cmd_project(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
     x = coweight(family, _parse_ints(args.x), sector)
-    shape = _parse_shape(args.shape, x.kind)
+    shape = _parse_shape(args.shape, family, x.kind.rank)
     point = project(shape, x)
     fields = {
         "shape": str(shape),
@@ -308,9 +315,7 @@ def cmd_project(args: argparse.Namespace, family: Family, sector: Sector) -> Emi
 
 
 def cmd_lift(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
-    if args.rank > BOX_CAP:  # the only rank not bounded by a typed vector
-        raise CapExceeded(f"a lift of rank {args.rank} exceeds the cap of {BOX_CAP}")
-    shape = _parse_shape(args.shape, GroupKind(family, args.rank))
+    shape = _parse_shape(args.shape, family)  # the one rank no vector bounds
     sums = _parse_ints(args.sums) if args.sums else ()
     lift = minuscule_lift(shape, sums, args.so_class, sector)
     fields = {
@@ -324,7 +329,7 @@ def cmd_lift(args: argparse.Namespace, family: Family, sector: Sector) -> Emitte
 
 def cmd_eta(args: argparse.Namespace, family: Family, sector: Sector) -> Emitted:
     nu = coweight(family, _parse_ints(args.nu), sector)
-    shape = _parse_shape(args.shape, nu.kind)
+    shape = _parse_shape(args.shape, family, nu.kind.rank)
     fields: dict[str, Any] = {"shape": str(shape), "nu": list(nu.entries)}
     try:
         res = dominant_reordering(shape, nu)
@@ -448,7 +453,7 @@ def _run_instances(out: str | None, instances: Iterable[tuple[LeviShape, Coweigh
 
 def cmd_verify(args: argparse.Namespace) -> int:
     mu = coweight(args.family, _parse_ints(args.mu), args.sector)
-    shape = _parse_shape(args.shape, mu.kind)
+    shape = _parse_shape(args.shape, args.family, mu.kind.rank)
     if not is_dominant(mu):
         raise ValueError(f"--mu {args.mu} is not dominant")
     return _run_instances(args.out, [(shape, mu)], check_properties=False)
@@ -490,7 +495,6 @@ _FLAGS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
         required=True, help="comma-separated integers or fractions like 3/2")),
     "nu": (("--nu",), dict(required=True)),
     "shape": (("--shape",), dict(required=True, help="e.g. 2,1,1;2")),
-    "rank": (("--rank",), dict(type=int, required=True)),
     "sums": (("--sums",), dict(default="", help="comma-separated batch sums")),
     "so_class": (("--so-class",), dict(type=int, default=None)),
     "ranks": (("--ranks",), dict(required=True, help="comma list, e.g. 2,3")),
@@ -513,7 +517,7 @@ def _commands() -> list[tuple[str, str, Callable[[argparse.Namespace], int], str
         ("project", "batch averages of x for a Levi shape",
          functools.partial(_emit, cmd_project), f"{small} shape x"),
         ("lift", "canonical lift from batch sums plus an orthogonal class",
-         functools.partial(_emit, cmd_lift), f"{small} shape rank sums so_class"),
+         functools.partial(_emit, cmd_lift), f"{small} shape sums so_class"),
         ("eta", "the merge-and-repair reordering, stage by stage",
          functools.partial(_emit, cmd_eta), f"{small} shape nu"),
         ("pmu", "hull lattice points sharing mu's central class",
@@ -524,6 +528,21 @@ def _commands() -> list[tuple[str, str, Callable[[argparse.Namespace], int], str
          "and dominant weight of the listed families, ranks and sectors",
          cmd_sweep, "families sectors out ranks max_entry jobs skip_properties"),
     ]
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """``--x -1,0`` as ``--x=-1,0``: argparse reads a token that starts with
+    ``-`` as a flag unless it is one plain number, so a value that starts
+    with ``-`` and a digit is joined to the value-taking flag before it."""
+    valued = {s for spellings, options in _FLAGS.values() if "action" not in options
+              for s in spellings}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in valued and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -552,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser().parse_args(_join_negative_values(argv))
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

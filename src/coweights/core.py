@@ -25,6 +25,13 @@ from itertools import accumulate
 from operator import le
 from typing import Sequence, Union
 
+__all__ = [
+    "CapExceeded", "Coweight", "Family", "GroupKind", "MismatchError",
+    "NormalizationRequired", "NotDominantError", "PreconditionError", "Sector",
+    "ShapeError", "coweight", "dominant_representative", "in_hull", "is_dominant",
+    "leq", "prefix_sums", "same_class_XG", "weyl_orbit_equivalent",
+]
+
 Scalar = Union[int, Fraction]
 Vector = tuple[Scalar, ...]
 
@@ -46,6 +53,11 @@ class Sector(Enum):
 
     INTEGRAL = "integral"
     HALF = "half"
+
+    @property
+    def unit(self) -> int:
+        """The stored value of one: 2 in the doubled half sector, else 1."""
+        return 2 if self is Sector.HALF else 1
 
 
 class MismatchError(ValueError):
@@ -257,22 +269,18 @@ def leq(x: Coweight | Sequence[Scalar], mu: Coweight) -> bool:
 def same_class_XG(x: Coweight, mu: Coweight) -> bool:
     """Whether ``x`` and ``mu`` agree in the quotient by the full coroot lattice.
 
-    Family A: equal coordinate sums.  Family B and integral D: the sums
-    differ by an even integer.  Half-sector D (doubled coordinates): the
-    sums differ by a multiple of four.  The two sectors of D are distinct
-    classes.
+    Family A: equal coordinate sums.  Families B and D: the sums differ by
+    an even number of units (:attr:`Sector.unit`), so by a multiple of four
+    in the doubled half sector.  The two sectors of D are distinct classes.
     """
     if x.kind != mu.kind:
         raise MismatchError(f"kind mismatch: {x.kind} vs {mu.kind}")
     if x.sector is not mu.sector:
         return False
     diff = sum(mu.entries) - sum(x.entries)
-    family = x.kind.family
-    if family is Family.A:
+    if x.kind.family is Family.A:
         return diff == 0
-    if family is Family.B or x.sector is Sector.INTEGRAL:
-        return diff % 2 == 0
-    return diff % 4 == 0
+    return diff % (2 * x.sector.unit) == 0
 
 
 def in_hull(x: Coweight | Sequence[Scalar], mu: Coweight) -> bool:

@@ -33,6 +33,11 @@ from .core import (
     vec_is_dominant,
 )
 
+__all__ = [
+    "LeviPoint", "LeviShape", "XMClass", "all_shapes", "class_of", "compositions",
+    "is_M_dominant", "is_M_minuscule", "leq_batch_ends", "minuscule_lift", "project",
+]
+
 
 @dataclass(frozen=True)
 class LeviShape:
@@ -201,10 +206,9 @@ def is_M_minuscule(shape: LeviShape, x: Coweight) -> bool:
     """
     _check_compatible(shape, x)
     e = x.entries
-    spread = 2 if x.sector is Sector.HALF else 1
     for sl in shape.gl_slices:
         batch = e[sl]
-        if batch and max(batch) - min(batch) > spread:
+        if batch and max(batch) - min(batch) > x.sector.unit:
             return False
     j = shape.so_rank
     if j == 0:
@@ -235,11 +239,11 @@ def so_classes(shape: LeviShape, sector: Sector) -> list[int | None]:
 
 
 def _so_class(shape: LeviShape, x: Coweight) -> int | None:
-    """The class of ``x``'s orthogonal batch: its sum mod 2, or mod 4 when
-    doubled; ``None`` without an orthogonal factor."""
+    """The class of ``x``'s orthogonal batch: its sum mod two units, so mod 4
+    when doubled; ``None`` without an orthogonal factor."""
     if shape.so_rank == 0:
         return None
-    return sum(x.entries[shape.so_slice]) % (4 if x.sector is Sector.HALF else 2)
+    return sum(x.entries[shape.so_slice]) % (2 * x.sector.unit)
 
 
 def minuscule_lift(
@@ -252,8 +256,9 @@ def minuscule_lift(
     batch sums and orthogonal class.
 
     Each GL batch spreads its sum as evenly as possible in nonincreasing
-    order (floor values with the remainder distributed as +1 steps); in the
-    doubled sector the same recipe runs in steps of two over odd entries.
+    order (floor values with the remainder distributed as +1 steps), in
+    units of :attr:`Sector.unit`: the doubled sector's entries are
+    ``2 y + 1``, its odd values, with the y spread the same way.
     The orthogonal batch is the canonical representative of ``so_class``,
     which must already be reduced: the sum mod 2, or mod 4 when doubled.
     """
@@ -267,20 +272,17 @@ def minuscule_lift(
     if sector is Sector.HALF and shape.kind.family is not Family.D:
         raise MismatchError("half sector requires family D")
 
+    unit = sector.unit
+    offset = unit - 1  # each entry is unit * y + offset
     entries: list[int] = []
     for s, size in zip(sums, shape.gl_sizes):
-        if sector is Sector.HALF:
-            if (s - size) % 2 != 0:
-                raise PreconditionError(
-                    f"half-sector batch sum {s} must have the parity of the "
-                    f"batch size {size} (all entries are odd)"
-                )
-            q, t = divmod((s - size) // 2, size)
-            ys = [q + 1] * t + [q] * (size - t)
-            entries.extend(2 * y + 1 for y in ys)
-        else:
-            q, t = divmod(s, size)
-            entries.extend([q + 1] * t + [q] * (size - t))
+        if (s - offset * size) % unit:
+            raise PreconditionError(
+                f"half-sector batch sum {s} must have the parity of the "
+                f"batch size {size} (all entries are odd)"
+            )
+        q, t = divmod((s - offset * size) // unit, size)
+        entries.extend([unit * (q + 1) + offset] * t + [unit * q + offset] * (size - t))
 
     j = shape.so_rank
     if j == 0:

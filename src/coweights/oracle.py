@@ -65,6 +65,12 @@ from .levi import (
 )
 from .reorder import check_batch_order, dominant_reordering
 
+__all__ = [
+    "SweepConfig", "VerificationReport", "caratheodory_in_hull",
+    "dominant_coweights", "enumerate_Pmu", "sweep", "verify_main_theorem",
+    "weyl_orbit",
+]
+
 # most dominant weights dominant_coweights builds before raising CapExceeded
 GRID_CAP = 100_000
 # most candidates a box scan (the Pmu box, the lift boxes, the beta grid)
@@ -192,15 +198,14 @@ def _exit(
 
     Dinkelbach's iteration over the pulled-back row functionals c, with
     rise ``b = c . step`` and room ``a = d h(c) - c . dv``: start from the
-    largest rise; while the candidate exit point violates a row, switch
-    to the functional most violated there, whose ratio must be smaller.
+    largest rise, the row :func:`_violated_row` finds for ``step`` at scale
+    0 (a nonzero step rises on some row); while the candidate exit point
+    violates a row, switch to the functional most violated there, whose
+    ratio must be smaller.
     """
-    rows, heights = _row_functionals(family, len(mu)), order_rows(family, mu, mu)[0]
-    w, ws = _normaliser(family, step)
-    rises = order_rows(family, ws, mu)[0]
-    k = rises.index(max(rises))
-    c = _pull_back(w, rows[k])
-    a, b = d * heights[k] - sum(map(mul, c, dv)), rises[k]
+    heights = order_rows(family, mu, mu)[0]
+    c, k = _violated_row(family, mu, 0, step)
+    a, b = d * heights[k] - sum(map(mul, c, dv)), sum(map(mul, c, step))
     while True:
         exit_point = [b * e + a * s for e, s in zip(dv, step)]
         found = _violated_row(family, mu, b * d, exit_point)
@@ -308,27 +313,22 @@ def _span(values: range) -> int:
     return max(0, -((values.start - values.stop) // values.step))
 
 
-def _box_values(mu: Coweight) -> range:
-    """The entries |v| <= max|mu_i|, odd in the half sector (whose radius is
-    odd), as a range: nothing is built before the box is checked."""
-    radius = max((abs(e) for e in mu.entries), default=0)
-    return range(-radius, radius + 1, 2 if mu.sector is Sector.HALF else 1)
-
-
 def enumerate_Pmu(mu: Coweight) -> frozenset[Coweight]:
     """All lattice points of the orbit hull sharing the class of ``mu``.
 
     The search box |v_i| <= max|mu_i| suffices: the hull's vertices are
     signed permutations of ``mu``, so the hull lies in that sup-norm ball
-    (the test suite probes the shell just outside to confirm).  Any rank
-    and radius is accepted; a box of more than ``BOX_CAP`` candidates
-    raises :class:`CapExceeded` before the scan starts, sized from its
-    bounds without building any candidate.
+    (the test suite probes the shell just outside to confirm); its values
+    step by :attr:`Sector.unit`, so they are odd in the half sector, whose
+    radius is odd.  Any rank and radius is accepted; a box of more than
+    ``BOX_CAP`` candidates raises :class:`CapExceeded` before the scan
+    starts, sized from its bounds without building any candidate.
     """
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")
     n = mu.kind.rank
-    vals = _box_values(mu)
+    radius = max((abs(e) for e in mu.entries), default=0)
+    vals = range(-radius, radius + 1, mu.sector.unit)
     width = _span(vals)
     _check_box(width ** n, f"the box of {width}^{n}")
     out = []
@@ -363,11 +363,11 @@ class VerificationReport:
 
 
 def _batch_sum_range(size: int, bound: int, sector: Sector) -> range:
-    if sector is not Sector.HALF:
-        return range(-bound, bound + 1)
-    # odd entries force the batch sum to carry the batch-size parity
-    start = -bound if (bound - size) % 2 == 0 else -bound + 1
-    return range(start, bound + 1, 2)
+    """The batch sums in [-bound, bound], stepping by :attr:`Sector.unit`
+    from the first with the parity of ``size`` when doubled: odd entries
+    give the batch sum the parity of the batch size."""
+    unit = sector.unit
+    return range(-bound + (bound - size) % unit, bound + 1, unit)
 
 
 def valid_lifts(
@@ -478,7 +478,7 @@ def dominant_coweights(
     """
     if sector is Sector.HALF and kind.family is not Family.D:
         raise MismatchError("half sector requires family D")
-    step = 2 if sector is Sector.HALF else 1
+    step = sector.unit
     descending = range(step - 1, max_entry + 1, step)[::-1]
     tuples = _dominant_tuples(kind.family, kind.rank, descending, step)
     out = [Coweight(kind, vec, sector) for vec in islice(tuples, GRID_CAP + 1)]

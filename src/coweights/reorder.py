@@ -39,6 +39,8 @@ from .core import (
 )
 from .levi import LeviShape, has_dominant_projection, is_M_dominant, is_M_minuscule
 
+__all__ = ["ReorderResult", "check_batch_order", "dominant_reordering"]
+
 
 @dataclass(frozen=True)
 class ReorderResult:

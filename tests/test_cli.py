@@ -225,7 +225,7 @@ class TestSmallCommands:
 
     def test_lift_command(self):
         proc = run_cli(
-            "lift", "--family", "B", "--rank", "3", "--shape", "2;1",
+            "lift", "--family", "B", "--shape", "2;1",
             "--sums", "3", "--so-class", "1", "--format", "json",
         )
         record = json.loads(proc.stdout)
@@ -235,7 +235,7 @@ class TestSmallCommands:
         """A half-sector orthogonal class must be reduced mod 4, as the
         integral one must be mod 2; 6 is not echoed as the class 2."""
         proc = run_cli(
-            "lift", "--family", "D", "--sector", "half", "--rank", "3",
+            "lift", "--family", "D", "--sector", "half",
             "--shape", "1;2", "--sums", "1", "--so-class", "6",
         )
         assert proc.returncode == 2
@@ -338,16 +338,33 @@ def test_sweep_grid_output_pinned(argv, digest, capsys):
     "sweep --families A,B --family A --ranks 1 --max-entry 1",
     "verify --family A --shape 2 --mu 1,0 --timing",
     "sweep --family A --ranks 1 --max-entry 0 --timing",
-], ids=["all-shapes", "format", "rank", "families", "verify-timing", "sweep-timing"])
+    "lift --family B --rank 3 --shape 2;1 --sums 3 --so-class 1",
+], ids=["all-shapes", "format", "rank", "families", "verify-timing", "sweep-timing",
+        "lift-rank"])
 def test_removed_grid_flags_exit_two(argv):
-    """The flags that verify and sweep no longer take are usage errors;
-    ``--timing`` went because it was the one output whose bytes changed
-    from run to run."""
+    """The flags that verify, sweep and lift no longer take are usage
+    errors; ``--timing`` went because it was the one output whose bytes
+    changed from run to run, and ``lift`` reads its rank off ``--shape``."""
     proc = run_cli(*argv.split())
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     assert "unrecognized arguments" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    "pmu --family A --mu -1,-1",
+    "check --family A --mu 0,-1 --x -1,0",
+], ids=["pmu", "check"])
+def test_values_starting_with_minus(argv, capsys):
+    """A value that starts with ``-`` and a digit may follow its flag as a
+    token of its own; it reads as the ``--flag=value`` spelling does."""
+    assert cli.main(argv.split()) == 0
+    spaced = capsys.readouterr()
+    joined = argv.replace(" -1,", "=-1,")
+    assert cli.main(joined.split()) == 0
+    assert capsys.readouterr() == spaced
+    assert spaced.err == ""
 
 
 def test_out_flag_writes_file(tmp_path):
@@ -435,8 +452,7 @@ PARSER_FLAGS = {
     "check": [*_SMALL, _MU, _X],
     "class": [*_SMALL, _SHAPE, _X],
     "project": [*_SMALL, _SHAPE, _X],
-    "lift": [*_SMALL, _SHAPE, (("--rank",), None, True, None, "int"),
-             (("--sums",), "", False, None, None),
+    "lift": [*_SMALL, _SHAPE, (("--sums",), "", False, None, None),
              (("--so-class",), None, False, None, "int")],
     "eta": [*_SMALL, _SHAPE, (("--nu",), None, True, None, None)],
     "pmu": [*_SMALL, _MU],
@@ -456,7 +472,8 @@ PARSER_FLAGS = {
 def test_parser_flags_pinned():
     """Every subcommand's flags, in order: spellings, default, required,
     choices and type.  Only the type of ``--family`` and ``--sector(s)``
-    changed when the parser became one table, and ``--timing`` went."""
+    changed when the parser became one table, and ``--timing`` went; later
+    ``lift`` lost ``--rank``, which its ``--shape`` fixes."""
     parser = cli.build_parser()
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     table = {
@@ -516,8 +533,7 @@ def _raise_internal(*args, **kwargs):
      None, 2),
     (["sweep", "--family", "A", "--ranks", "2", "--out", "{tmp}/no/x"], None, 2),
     (["pmu", "--family", "B", "--mu", "1,1", "--out", "{tmp}"], None, 2),
-    (["lift", "--family", "A", "--rank", str(10**30), "--shape", str(10**30),
-      "--sums", "0"], None, 3),
+    (["lift", "--family", "A", "--shape", str(10**30), "--sums", "0"], None, 3),
 ], ids=["zero-denominator", "empty-vectors", "negative-jobs", "zero-jobs",
         "instance-cap", "box-cap", "command-raises", "instance-raises", "max-entry-cap",
         "grid-cap-before-records", "unknown-flag", "missing-flag", "invalid-choice",

@@ -1,8 +1,9 @@
 """Randomised coverage past the exhaustive grids, at ranks 5-12.
 
 Hypothesis draws the cases with ``derandomize=True``, so every run checks
-the same examples: the oracle against the prefix-sum hull test, and the
-class map against the Levi's Weyl group W_M.
+the same examples: the oracle against the prefix-sum hull test, the class
+map against the Levi's Weyl group W_M, and canonical lifts against the
+class map and the reordering's postconditions.
 """
 
 from fractions import Fraction
@@ -22,7 +23,10 @@ from coweights import (
     coweight,
     dominant_representative,
     in_hull,
+    minuscule_lift,
 )
+from coweights.levi import has_dominant_projection, so_classes
+from coweights.oracle import reordering_failures
 
 RANKS = st.integers(5, 12)
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -98,3 +102,37 @@ def test_class_of_invariant_under_levi_weyl_group(family_sector, rank, data):
         image += _weyl_image(data, family, list(x.entries[shape.so_slice]))
     y = coweight(family, image, sector)
     assert class_of(shape, y) == class_of(shape, x), (shape, x, y)
+
+
+@SETTINGS
+@given(st.sampled_from(FAMILY_SECTORS), st.integers(5, 8), st.data())
+def test_lifts_are_canonical_and_reorder_at_high_rank(family_sector, rank, data):
+    """``class_of`` returns each canonical lift it is given, and the
+    reordering keeps every postcondition on lifts with a dominant
+    projection.  Batch k's entries are ``unit * y + offset`` (odd ones in
+    the half sector), its y averaging ``level_k + extra_k / n_k`` over
+    nonincreasing levels, the last one -1 at times in family D.  The
+    projection is then dominant unless two equal levels carry rising
+    extras or the -1 level is too low; such a draw falls back to no
+    extras and levels of at least 0."""
+    family, sector = family_sector
+    shape = data.draw(st.sampled_from(_shapes(family, rank)))
+    r, unit = shape.num_gl_batches, sector.unit
+    levels = sorted(data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)),
+                    reverse=True)
+    if r and family is Family.D and data.draw(st.booleans()):
+        levels[-1] = -1
+    extras = [data.draw(st.integers(0, size - 1)) for size in shape.gl_sizes]
+    so_class = data.draw(st.sampled_from(so_classes(shape, sector)))
+
+    def lift(levels, extras):
+        sums = [unit * (level * size + extra) + (unit - 1) * size
+                for level, extra, size in zip(levels, extras, shape.gl_sizes)]
+        return minuscule_lift(shape, sums, so_class, sector)
+
+    nu = lift(levels, extras)
+    assert class_of(shape, nu).canonical_lift == nu, (shape, nu)
+    if not has_dominant_projection(shape, nu):
+        nu = lift([max(level, 0) for level in levels], [0] * r)
+    assert has_dominant_projection(shape, nu), (shape, nu)
+    assert reordering_failures(shape, nu, [dominant_representative(nu)]) == [], (shape, nu)

@@ -7,18 +7,24 @@ coroot of the short root e_i); the doubled half sector doubles them all.
 Two points are in one class exactly when their difference lies in the
 lattice those coroots span, decided here by a Hermite normal form.  A
 point is M-minuscule exactly when every root of M pairs with it into
-{-1, 0, 1} ({-2, 0, 2} doubled).  The package's rules (batch sums and an
-orthogonal sum mod 2 or 4) are written by hand per family; these tests
-hold them to the definition at ranks 2 to 10 in both D sectors.
+{-1, 0, 1} ({-2, 0, 2} doubled), and M-dominant exactly when every simple
+root of M pairs with it to at least 0.  The package's rules (batch sums
+and an orthogonal sum mod 2 or 4) are written by hand per family; these
+tests hold them to the definition at ranks 2 to 10 in both D sectors.
 """
 
 from itertools import combinations
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coweights import Coweight, Family, GroupKind, LeviShape, Sector, class_of, same_class_XG
-from coweights.levi import is_M_minuscule
+from coweights import (
+    Coweight, Family, GroupKind, LeviShape, Sector, class_of, is_M_dominant,
+    minuscule_lift, same_class_XG,
+)
+from coweights.core import _vec_dominant_rep
+from coweights.levi import is_M_minuscule, so_classes
 from coweights.oracle import _row_functionals
 
 
@@ -66,6 +72,22 @@ def roots(shape):
     out += _orthogonal_pairs(n, so, 1)
     if shape.kind.family is Family.B:
         out += [_unit(n, i) for i in so]
+    return out
+
+
+def simple_roots(shape):
+    """M's simple roots: e_i - e_{i+1} inside each batch, then e_n for the
+    orthogonal factor of family B, e_{n-1} + e_n for that of family D."""
+    n = shape.kind.rank
+    gl, so = _batches(shape)
+    out = [
+        tuple((j == i) - (j == i + 1) for j in range(n))
+        for batch in (*gl, so) for i in batch[:-1]
+    ]
+    if so and shape.kind.family is Family.B:
+        out.append(_unit(n, n - 1))
+    elif len(so) >= 2 and shape.kind.family is Family.D:
+        out.append(tuple(int(j >= n - 2) for j in range(n)))
     return out
 
 
@@ -175,6 +197,36 @@ def test_class_rules_match_the_coroot_lattice(case):
     assert minuscule(shape, lift)
     for z in (x, y):
         assert is_M_minuscule(shape, z) is minuscule(shape, z)
+
+
+def _M_dominant_rep(shape, x):
+    """x with each GL batch sorted nonincreasing and the orthogonal batch
+    replaced by its dominant representative: an M-dominant W_M-conjugate."""
+    e = x.entries
+    out = [v for sl in shape.gl_slices for v in sorted(e[sl], reverse=True)]
+    out += _vec_dominant_rep(shape.kind.family, e[shape.so_slice]) if shape.so_rank else ()
+    return Coweight(x.kind, out, x.sector)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(cases())
+def test_so_classes_and_M_dominance_match_the_root_datum(case):
+    """The orthogonal classes ``so_classes`` lists are distinct classes of
+    X_M with x's batch sums, and x lies in one of them; ``is_M_dominant``
+    is the simple-root test, on x, y and an M-dominant conjugate of x."""
+    shape, x, y = case
+    lattice = hermite_basis(coroots(shape, x.sector), shape.kind.rank)
+    sums = class_of(shape, x).batch_sums
+    lifts = [minuscule_lift(shape, sums, key, x.sector)
+             for key in so_classes(shape, x.sector)]
+    assert [same_class(a, b, lattice) for a in lifts for b in lifts] == [
+        a is b for a in lifts for b in lifts]
+    assert any(same_class(x, lift, lattice) for lift in lifts)
+
+    for z in (x, y, _M_dominant_rep(shape, x)):
+        dominant = all(sum(map(mul, root, z.entries)) >= 0 for root in simple_roots(shape))
+        assert is_M_dominant(shape, z) is dominant, (shape, z)
+    assert is_M_dominant(shape, _M_dominant_rep(shape, x))
 
 
 def _simple_coroots(family, n):

@@ -76,7 +76,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "for end in list(accumulate(shape.gl_sizes))[:-1])",
      ("tests/test_levi.py::TestLeqBatchEnds",)),
     ("so-class-mod-2-when-doubled", LEVI,
-     "% (4 if x.sector is Sector.HALF else 2)",
+     "% (2 * x.sector.unit)",
      "% 2",
      (f"{ROOT_DATUM}::test_class_rules_match_the_coroot_lattice",)),
     ("dominant-rep-d-parity-dropped", CORE,
@@ -86,7 +86,16 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ("spin-row-dropped", CORE,
      "    if family is Family.D:\n        rows_x[-2] -= x[-1]",
      "    if False:\n        rows_x[-2] -= x[-1]",
-     (f"{ROOT_DATUM}::test_row_functionals_are_fundamental_weights",)),
+     (f"{ROOT_DATUM}::test_row_functionals_are_fundamental_weights",
+      "tests/test_metamorphic.py::test_b_and_d_agree_when_the_last_entry_is_zero")),
+    ("lift-half-offset-dropped", LEVI,
+     "[unit * (q + 1) + offset] * t + [unit * q + offset] * (size - t)",
+     "[unit * (q + 1)] * t + [unit * q] * (size - t)",
+     ("tests/test_levi.py::TestMinusculeLift::test_half_sector_example",)),
+    ("batch-sum-parity-offset-dropped", ORACLE,
+     "range(-bound + (bound - size) % unit, bound + 1, unit)",
+     "range(-bound, bound + 1, unit)",
+     ("tests/test_oracle.py::TestSweep::test_family_d_rank2_both_sectors",)),
 ]
 
 _SKIP = shutil.ignore_patterns(
