@@ -117,12 +117,14 @@ def _parse_rationals(text: str) -> tuple[Scalar, ...]:
 def _parse_shape(text: str, family: Family, rank: int | None = None) -> LeviShape:
     """``"2,1;2"`` as GL blocks (2, 1) and orthogonal rank 2, of the given
     rank or else of the rank the blocks fill, which must not pass
-    ``BOX_CAP``: a lift builds one entry per coordinate."""
+    ``BOX_CAP``: a lift builds one entry per coordinate.  That rank is
+    taken as at least 1, so that :class:`LeviShape`, not
+    :class:`GroupKind`, names a size below zero."""
     gl_text, _, so_text = text.partition(";")
     gl = _parse_ints(gl_text) if gl_text else ()
     so = int(so_text) if so_text else 0
     if rank is None:
-        rank = sum(gl) + so
+        rank = max(sum(gl) + so, 1)
         if rank > BOX_CAP:
             raise CapExceeded(f"a shape of rank {rank} exceeds the cap of {BOX_CAP}")
     return LeviShape(GroupKind(family, rank), gl, so)
@@ -161,7 +163,7 @@ def _instance_json(shape: LeviShape, mu: Coweight) -> dict[str, Any]:
 def report_json(report: VerificationReport) -> dict[str, Any]:
     record: dict[str, Any] = {
         **_instance_json(report.shape, report.mu),
-        "lhs": [_class_json(c) for c in sorted(report.lhs_classes, key=lambda c: c.sort_key())],
+        "lhs": [_class_json(c) for c, _ in report.witnesses],
         "rhs": [_class_json(c) for c in sorted(report.rhs_classes, key=lambda c: c.sort_key())],
         "equal": report.equal,
         "missing_from_lhs": [_class_json(c) for c in report.missing_from_lhs],

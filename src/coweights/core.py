@@ -88,6 +88,12 @@ class CapExceeded(RuntimeError):
     """An enumeration would exceed the configured size cap."""
 
 
+def _check_sector(family: Family, sector: Sector) -> None:
+    """Refuse the half sector outside family D, where it does not exist."""
+    if sector is Sector.HALF and family is not Family.D:
+        raise MismatchError("the half sector only exists for family D")
+
+
 @dataclass(frozen=True)
 class GroupKind:
     """A split classical group: a family letter plus its rank."""
@@ -122,8 +128,7 @@ class Coweight:
         if not all(isinstance(e, int) for e in self.entries):
             raise TypeError("coweight entries must be integers")
         if self.sector is Sector.HALF:
-            if self.kind.family is not Family.D:
-                raise MismatchError("the half sector only exists for family D")
+            _check_sector(self.kind.family, self.sector)
             if any(e % 2 == 0 for e in self.entries):
                 raise MismatchError(
                     "half-sector entries are doubled and must all be odd"

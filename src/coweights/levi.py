@@ -28,6 +28,7 @@ from .core import (
     PreconditionError,
     Sector,
     ShapeError,
+    _check_sector,
     is_dominant,
     order_rows,
     vec_is_dominant,
@@ -269,8 +270,7 @@ def minuscule_lift(
         )
     if not all(isinstance(s, int) for s in sums):
         raise TypeError("batch sums must be integers")
-    if sector is Sector.HALF and shape.kind.family is not Family.D:
-        raise MismatchError("half sector requires family D")
+    _check_sector(shape.kind.family, sector)
 
     unit = sector.unit
     offset = unit - 1  # each entry is unit * y + offset
@@ -318,13 +318,14 @@ def class_of(shape: LeviShape, x: Coweight) -> XMClass:
     return XMClass(shape, minuscule_lift(shape, sums, _so_class(shape, x), x.sector))
 
 
-def leq_batch_ends(shape: LeviShape, beta: LeviPoint, mu: Coweight) -> bool:
+def leq_batch_ends(beta: LeviPoint, mu: Coweight) -> bool:
     """The dominance inequalities restricted to batch-end positions.
 
-    For a vector constant on batches (zero on the orthogonal batch) whose
-    difference from ``mu`` lies in the coroot span, checking the order
-    relation only at the end of each batch is equivalent to the full check:
-    the remaining inequalities pair against weights fixed by the Levi.
+    For a vector constant on the batches of ``beta.shape`` (zero on the
+    orthogonal batch) whose difference from ``mu`` lies in the coroot span,
+    checking the order relation only at the end of each batch is equivalent
+    to the full check: the remaining inequalities pair against weights
+    fixed by the Levi.
 
     One rule for every family: the rows of :func:`coweights.core.order_rows`
     at the GL batch ends sigma(1), ..., sigma(r).  Family A first requires
@@ -336,10 +337,8 @@ def leq_batch_ends(shape: LeviShape, beta: LeviPoint, mu: Coweight) -> bool:
     S_n(mu) >= S_{n-j}(mu) because the last j >= 2 entries of a dominant
     ``mu`` sum to at least mu_{n-1} + mu_n >= 0.
     """
-    if shape.kind != mu.kind:
-        raise MismatchError(f"kind mismatch: shape {shape.kind} vs {mu.kind}")
-    if beta.shape != shape:
-        raise MismatchError("point was built over a different shape")
+    shape = beta.shape
+    _check_compatible(shape, mu)
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, permutations, product
 from math import gcd, lcm, prod
 from operator import mul
@@ -35,11 +35,13 @@ from .core import (
     Family,
     GroupKind,
     MismatchError,
+    NormalizationRequired,
     NotDominantError,
     PreconditionError,
     Scalar,
     Sector,
     Vector,
+    _check_sector,
     _vec_dominant_rep,
     coerce_vector,
     in_hull,
@@ -63,7 +65,7 @@ from .levi import (
     project,
     so_classes,
 )
-from .reorder import check_batch_order, dominant_reordering
+from .reorder import dominant_reordering
 
 __all__ = [
     "SweepConfig", "VerificationReport", "caratheodory_in_hull",
@@ -313,12 +315,17 @@ def _span(values: range) -> int:
     return max(0, -((values.start - values.stop) // values.step))
 
 
+def _radius(mu: Coweight) -> int:
+    """max|mu_i|: the hull's vertices are signed permutations of ``mu``, so
+    the hull lies in the sup-norm ball of this radius."""
+    return max(abs(e) for e in mu.entries)
+
+
 def enumerate_Pmu(mu: Coweight) -> frozenset[Coweight]:
     """All lattice points of the orbit hull sharing the class of ``mu``.
 
-    The search box |v_i| <= max|mu_i| suffices: the hull's vertices are
-    signed permutations of ``mu``, so the hull lies in that sup-norm ball
-    (the test suite probes the shell just outside to confirm); its values
+    The search box |v_i| <= :func:`_radius` suffices (the test suite
+    probes the shell just outside to confirm); its values
     step by :attr:`Sector.unit`, so they are odd in the half sector, whose
     radius is odd.  Any rank and radius is accepted; a box of more than
     ``BOX_CAP`` candidates raises :class:`CapExceeded` before the scan
@@ -326,8 +333,7 @@ def enumerate_Pmu(mu: Coweight) -> frozenset[Coweight]:
     """
     if not is_dominant(mu):
         raise NotDominantError(f"mu={mu} is not dominant")
-    n = mu.kind.rank
-    radius = max((abs(e) for e in mu.entries), default=0)
+    n, radius = mu.kind.rank, _radius(mu)
     vals = range(-radius, radius + 1, mu.sector.unit)
     width = _span(vals)
     _check_box(width ** n, f"the box of {width}^{n}")
@@ -345,17 +351,34 @@ def enumerate_Pmu(mu: Coweight) -> frozenset[Coweight]:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Both sides of one instance of the set equality, with witnesses."""
+    """Both sides of one instance of the set equality.
+
+    The left side is ``witnesses``: each hull class with its
+    lexicographically least hull point, in :meth:`XMClass.sort_key` order.  The verdict and the set
+    differences are derived from the two sides.
+    """
 
     shape: LeviShape
     mu: Coweight
-    lhs_classes: frozenset[XMClass]
-    rhs_classes: frozenset[XMClass]
-    equal: bool
-    missing_from_lhs: tuple[XMClass, ...]
-    missing_from_rhs: tuple[XMClass, ...]
     witnesses: tuple[tuple[XMClass, Coweight], ...]
+    rhs_classes: frozenset[XMClass]
     property_failures: tuple[str, ...] = ()
+
+    @cached_property
+    def lhs_classes(self) -> frozenset[XMClass]:
+        return frozenset(cls for cls, _ in self.witnesses)
+
+    @cached_property
+    def missing_from_lhs(self) -> tuple[XMClass, ...]:
+        return tuple(sorted(self.rhs_classes - self.lhs_classes, key=XMClass.sort_key))
+
+    @cached_property
+    def missing_from_rhs(self) -> tuple[XMClass, ...]:
+        return tuple(sorted(self.lhs_classes - self.rhs_classes, key=XMClass.sort_key))
+
+    @property
+    def equal(self) -> bool:
+        return not self.missing_from_lhs and not self.missing_from_rhs
 
     @property
     def ok(self) -> bool:
@@ -401,8 +424,8 @@ def verify_main_theorem(shape: LeviShape, mu: Coweight) -> VerificationReport:
     class of ``mu``.  Right side: every class (batch sums bounded by
     batch size times max|mu_i|, every orthogonal class) whose canonical
     lift matches ``mu`` centrally and whose batch-average projection lies
-    in the hull.  The report records the set difference in each direction
-    and one hull point witnessing each left-side class.
+    in the hull.  The report holds the right side and, as the left side,
+    the lexicographically least hull point witnessing each class.
     """
     if shape.kind != mu.kind:
         raise MismatchError(f"kind mismatch: shape {shape.kind} vs {mu.kind}")
@@ -411,28 +434,19 @@ def verify_main_theorem(shape: LeviShape, mu: Coweight) -> VerificationReport:
     witness: dict[XMClass, Coweight] = {}
     for nu in points:
         witness.setdefault(class_of(shape, nu), nu)
-    lhs = frozenset(witness)
 
-    radius = max((abs(e) for e in mu.entries), default=0)
-    rhs_set: set[XMClass] = set()
-    for lift in valid_lifts(shape, mu.sector, radius):
+    rhs: set[XMClass] = set()
+    for lift in valid_lifts(shape, mu.sector, _radius(mu)):
         if same_class_XG(lift, mu) and in_hull(project(shape, lift).expand(), mu):
-            rhs_set.add(XMClass(shape, lift))
-    rhs = frozenset(rhs_set)
+            rhs.add(XMClass(shape, lift))
 
-    missing_from_lhs = tuple(sorted(rhs - lhs, key=XMClass.sort_key))
-    missing_from_rhs = tuple(sorted(lhs - rhs, key=XMClass.sort_key))
     return VerificationReport(
         shape=shape,
         mu=mu,
-        lhs_classes=lhs,
-        rhs_classes=rhs,
-        equal=not missing_from_lhs and not missing_from_rhs,
-        missing_from_lhs=missing_from_lhs,
-        missing_from_rhs=missing_from_rhs,
         witnesses=tuple(
             sorted(witness.items(), key=lambda kv: kv[0].sort_key())
         ),
+        rhs_classes=frozenset(rhs),
     )
 
 
@@ -476,8 +490,7 @@ def dominant_coweights(
     tuples are generated directly, and a grid raises :class:`CapExceeded`
     as soon as it passes ``GRID_CAP`` weights.
     """
-    if sector is Sector.HALF and kind.family is not Family.D:
-        raise MismatchError("half sector requires family D")
+    _check_sector(kind.family, sector)  # even where the grid builds no weight
     step = sector.unit
     descending = range(step - 1, max_entry + 1, step)[::-1]
     tuples = _dominant_tuples(kind.family, kind.rank, descending, step)
@@ -538,7 +551,7 @@ def batch_end_agreement(
     checked = 0
     failures = []
     for beta in _beta_grid(shape, mu):
-        restricted = leq_batch_ends(shape, beta, mu)
+        restricted = leq_batch_ends(beta, mu)
         full = leq(beta.expand(), mu)
         checked += 1
         if restricted != full:
@@ -578,18 +591,19 @@ def reordering_failures(
 ) -> list[str]:
     """Postconditions of the reordering on one precondition-satisfying input.
 
-    Checks: batch order; positivity bounds; the result dominant, coarse
-    block-dominant/minuscule, and orbit-equivalent; half-sector -1s of the
-    merged vector confined to the last GL batch or the orthogonal batch;
-    and the order transfer (projection of the result stays below every
-    grid weight the input's projection was below, in the same class).
+    Checks: positivity bounds; the batch first-entry order (a reordering
+    refused for it is reported, with the positivity failures, and ends the
+    checks); the result dominant, coarse block-dominant/minuscule, and
+    orbit-equivalent; half-sector -1s of the merged vector confined to the
+    last GL batch or the orthogonal batch; and the order transfer
+    (projection of the result stays below every grid weight the input's
+    projection was below, in the same class).
     """
-    failures = []
-    if not check_batch_order(shape, nu):
-        failures.append(f"batch first-entry order fails for {nu} under {shape}")
-    failures.extend(positivity_failures(shape, nu))
-
-    res = dominant_reordering(shape, nu)
+    failures = positivity_failures(shape, nu)
+    try:
+        res = dominant_reordering(shape, nu)
+    except NormalizationRequired:
+        return [f"batch first-entry order fails for {nu} under {shape}", *failures]
     eta, coarse = res.result, res.coarse_shape
     if not is_dominant(eta):
         failures.append(f"reordering of {nu} under {shape} is not dominant: {eta}")
@@ -627,8 +641,7 @@ def instance_property_failures(
 ) -> tuple[str, ...]:
     """The per-instance property bundle run by sweeps.  A lift box past
     ``BOX_CAP`` is refused before the beta grid is scanned."""
-    radius = max((abs(e) for e in mu.entries), default=0)
-    lifts = valid_lifts(shape, mu.sector, radius + 1)
+    lifts = valid_lifts(shape, mu.sector, _radius(mu) + 1)
     failures = batch_end_agreement(shape, mu)[1]
     mus = [mu]
     for nu in lifts:

@@ -37,9 +37,9 @@ from .core import (
     PreconditionError,
     Sector,
 )
-from .levi import LeviShape, has_dominant_projection, is_M_dominant, is_M_minuscule
+from .levi import LeviShape, is_M_dominant, is_M_minuscule
 
-__all__ = ["ReorderResult", "check_batch_order", "dominant_reordering"]
+__all__ = ["ReorderResult", "dominant_reordering"]
 
 
 @dataclass(frozen=True)
@@ -56,40 +56,6 @@ class ReorderResult:
     merged: Coweight
     sign_fixed: Coweight
     flip_count: int
-
-
-def _batch_firsts(shape: LeviShape, nu: Coweight) -> list[int]:
-    return [nu.entries[sl.start] for sl in shape.gl_slices]
-
-
-def _require_block_conditions(shape: LeviShape, nu: Coweight) -> None:
-    if not is_M_dominant(shape, nu):
-        raise PreconditionError(f"{nu} is not block-dominant for {shape}")
-    if not is_M_minuscule(shape, nu):
-        raise PreconditionError(f"{nu} is not block-minuscule for {shape}")
-
-
-def check_batch_order(shape: LeviShape, nu: Coweight) -> bool:
-    """Whether the first entries of the GL batches are nonincreasing.
-
-    When the batch averages of ``nu`` are dominant this always holds
-    (consecutive batches with increasing firsts would force increasing
-    averages), so a ``False`` return signals a precondition bug and is
-    exposed for property testing.  A chain failure explained by a
-    non-dominant projection raises :class:`NormalizationRequired` instead,
-    to keep genuine precondition violations distinct from a false result.
-    """
-    _require_block_conditions(shape, nu)
-    firsts = _batch_firsts(shape, nu)
-    if all(firsts[i] >= firsts[i + 1] for i in range(len(firsts) - 1)):
-        return True
-    if not has_dominant_projection(shape, nu):
-        raise NormalizationRequired(
-            f"the batch averages of {nu} under {shape} are not dominant and "
-            "the batch first entries are out of order; re-pose the input in "
-            "a Weyl-translated basis first"
-        )
-    return False
 
 
 def _merge_batches(
@@ -116,13 +82,17 @@ def _merge_batches(
 def dominant_reordering(shape: LeviShape, nu: Coweight) -> ReorderResult:
     """Run the full reordering; see the module docstring for the stages.
 
-    Requires ``nu`` block-dominant and block-minuscule with nonincreasing
-    batch first entries (:class:`NormalizationRequired` otherwise).  The
+    Requires ``nu`` block-dominant and block-minuscule
+    (:class:`PreconditionError` otherwise) with nonincreasing batch first
+    entries (:class:`NormalizationRequired` otherwise).  The
     result lies in the Weyl orbit of ``nu`` and is block-dominant and
     block-minuscule for the returned coarser shape.
     """
-    _require_block_conditions(shape, nu)
-    firsts = _batch_firsts(shape, nu)
+    if not is_M_dominant(shape, nu):
+        raise PreconditionError(f"{nu} is not block-dominant for {shape}")
+    if not is_M_minuscule(shape, nu):
+        raise PreconditionError(f"{nu} is not block-minuscule for {shape}")
+    firsts = [nu.entries[sl.start] for sl in shape.gl_slices]
     if any(firsts[i] < firsts[i + 1] for i in range(len(firsts) - 1)):
         raise NormalizationRequired(
             f"the batch first entries of {nu} under {shape} are not "

@@ -534,11 +534,13 @@ def _raise_internal(*args, **kwargs):
     (["sweep", "--family", "A", "--ranks", "2", "--out", "{tmp}/no/x"], None, 2),
     (["pmu", "--family", "B", "--mu", "1,1", "--out", "{tmp}"], None, 2),
     (["lift", "--family", "A", "--shape", str(10**30), "--sums", "0"], None, 3),
+    (["lift", "--family", "A", "--shape", "1;-1", "--sums", "1"], None, 2),
 ], ids=["zero-denominator", "empty-vectors", "negative-jobs", "zero-jobs",
         "instance-cap", "box-cap", "command-raises", "instance-raises", "max-entry-cap",
         "grid-cap-before-records", "unknown-flag", "missing-flag", "invalid-choice",
         "unknown-command", "shape-empty-item", "shape-empty-ends", "out-missing-dir",
-        "sweep-out-missing-dir", "out-is-directory", "lift-huge-rank"])
+        "sweep-out-missing-dir", "out-is-directory", "lift-huge-rank",
+        "lift-negative-so-rank"])
 def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys, tmp_path):
     """Every input ends in a contract exit code with a one-line message; an
     input refused before its first instance writes nothing to stdout (the
@@ -557,6 +559,13 @@ def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys, tmp_
         assert not err.startswith("internal error: ")
     if not err.startswith("instances stopped: "):
         assert out == ""
+
+
+def test_lift_shape_error_names_the_bad_size(capsys):
+    """A shape whose sizes sum to 0 or less is refused by ``LeviShape``,
+    which names the bad size, not by ``GroupKind`` for its rank."""
+    assert cli.main(["lift", "--family", "A", "--shape", "1;-1", "--sums", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: orthogonal rank must be >= 0: -1\n")
 
 
 def test_help_exits_zero_on_stdout(capsys):

@@ -9,16 +9,24 @@ from coweights import (
     Coweight,
     Family,
     GroupKind,
+    LeviPoint,
+    LeviShape,
     MismatchError,
     NotDominantError,
     Sector,
+    class_of,
     coweight,
+    dominant_coweights,
     dominant_representative,
     in_hull,
     is_dominant,
     leq,
+    leq_batch_ends,
+    minuscule_lift,
     prefix_sums,
+    project,
     same_class_XG,
+    verify_main_theorem,
     weyl_orbit_equivalent,
 )
 from coweights.oracle import caratheodory_in_hull, weyl_orbit
@@ -261,3 +269,44 @@ class TestCoweightValidation:
             GroupKind(Family.D, 1)
         with pytest.raises(ValueError):
             GroupKind(Family.A, 0)
+
+
+def test_half_sector_outside_family_d_has_one_message():
+    """A weight, a lift and a grid refuse the half sector of family B
+    alike; the grid of max entry 0 builds no weight that could refuse it."""
+    calls = [
+        lambda: coweight("B", (1, 1), "half"),
+        lambda: minuscule_lift(
+            LeviShape(GroupKind(Family.B, 2), (1, 1)), (0, 0), None, Sector.HALF),
+        lambda: dominant_coweights(GroupKind(Family.B, 2), Sector.HALF, 0),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(MismatchError) as caught:
+            call()
+        messages.add(str(caught.value))
+    assert messages == {"the half sector only exists for family D"}
+
+
+_A2 = LeviShape(GroupKind(Family.A, 2), (1, 1))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: in_hull((0, 1), coweight("A", (0, 1))), NotDominantError, "not dominant"),
+    (lambda: weyl_orbit_equivalent(coweight("A", (1, 0)), coweight("B", (1, 0))),
+     MismatchError, "kind mismatch"),
+    (lambda: class_of(_A2, coweight("B", (1, 0))), MismatchError, "kind mismatch"),
+    (lambda: project(_A2, coweight("B", (1, 0))), MismatchError, "kind mismatch"),
+    (lambda: minuscule_lift(_A2, (Fraction(1), 0)), TypeError, "must be integers"),
+    (lambda: leq_batch_ends(LeviPoint(_A2, (1, 0)), coweight("B", (1, 0))),
+     MismatchError, "kind mismatch"),
+    (lambda: leq_batch_ends(LeviPoint(_A2, (0, 1)), coweight("A", (0, 1))),
+     NotDominantError, "not dominant"),
+    (lambda: verify_main_theorem(_A2, coweight("B", (1, 0))),
+     MismatchError, "kind mismatch"),
+], ids=["in_hull-dominance", "orbit-kind", "class_of-kind", "project-kind",
+        "lift-integer-sums", "batch-ends-kind", "batch-ends-dominance",
+        "verify-kind"])
+def test_library_guards(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -1,8 +1,10 @@
 """Brute-force ground truth: orbits, hull certificates, and the set equality."""
 
+import json
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -22,11 +24,13 @@ from coweights import (
     GroupKind,
     LeviShape,
     MismatchError,
+    NormalizationRequired,
     Sector,
     SweepConfig,
     all_shapes,
     caratheodory_in_hull,
     class_of,
+    cli,
     coweight,
     dominant_coweights,
     dominant_representative,
@@ -548,3 +552,58 @@ class TestSweep:
         first = [(str(r.shape), r.mu.entries) for r in sweep(config)]
         second = [(str(r.shape), r.mu.entries) for r in sweep(config)]
         assert first == second
+
+
+_B2_KIND = GroupKind(Family.B, 2)
+_B2_SHAPE = LeviShape(_B2_KIND, (1, 1))
+
+
+def _reordering_wrong_at(nu, **wrong):
+    """``dominant_reordering`` refusing ``nu`` under ``1,1`` (no ``wrong``
+    fields) or returning its result with ``wrong`` fields; right elsewhere."""
+    real = oracle.dominant_reordering
+    target = coweight("B", nu)
+
+    def fake(shape, lift):
+        if (shape, lift) != (_B2_SHAPE, target):
+            return real(shape, lift)
+        if not wrong:
+            raise NormalizationRequired("refused")
+        return replace(real(shape, lift), **wrong)
+
+    return "dominant_reordering", fake
+
+
+def _batch_ends_wrong_at(averages):
+    real = oracle.leq_batch_ends
+    return "leq_batch_ends", lambda beta, mu: real(beta, mu) != (beta.averages == averages)
+
+
+@pytest.mark.parametrize("patch, expected", [
+    (lambda: _reordering_wrong_at((1, 0)),
+     ["batch first-entry order fails for 1,0 under 1,1"]),
+    (lambda: _reordering_wrong_at((1, 0), result=coweight("B", (0, 1))),
+     ["reordering of 1,0 under 1,1 is not dominant: 0,1"]),
+    (lambda: _reordering_wrong_at((2, 0), coarse_shape=LeviShape(_B2_KIND, (2,))),
+     ["reordering of 2,0 is not block-minuscule for 2"]),
+    (lambda: _reordering_wrong_at((1, 0), result=coweight("B", (0, 0))),
+     ["reordering left the orbit: 1,0 -> 0,0"]),
+    (lambda: _reordering_wrong_at((1, 0), result=coweight("B", (3, 0))),
+     ["reordering left the orbit: 1,0 -> 3,0",
+      "order transfer fails: nu=1,0 shape=1,1 mu=1,0"]),
+    (lambda: _batch_ends_wrong_at((1, 0)),
+     ["batch-end order disagrees with full order at shape=1,1 mu=1,0 "
+      "averages=(Fraction(1, 1), Fraction(0, 1))"]),
+], ids=["batch-order-refused", "eta-not-dominant", "eta-not-block-minuscule",
+        "eta-off-orbit", "order-transfer", "batch-end-disagreement"])
+def test_property_failures_reach_the_report(patch, expected, monkeypatch, capsys):
+    """Each failure of the property bundle, injected through one wrong
+    result, reaches the instance's failures and its ``sweep`` record."""
+    monkeypatch.setattr(oracle, *patch())
+    mu = coweight("B", (1, 0))
+    assert oracle.instance_property_failures(_B2_SHAPE, mu) == tuple(expected)
+
+    assert cli.main(["sweep", "--family", "B", "--ranks", "2", "--max-entry", "1"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    record = next(r for r in records if r.get("shape") == "1,1" and r["mu"] == [1, 0])
+    assert record["property_failures"] == expected

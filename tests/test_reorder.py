@@ -11,7 +11,6 @@ from coweights import (
     PreconditionError,
     Sector,
     all_shapes,
-    check_batch_order,
     coweight,
     dominant_reordering,
     is_M_dominant,
@@ -52,7 +51,7 @@ class TestWalkthrough:
         assert weyl_orbit_equivalent(res.result, self.nu)
 
     def test_batch_order_holds(self):
-        assert check_batch_order(self.shape, self.nu)
+        assert reordering_failures(self.shape, self.nu, []) == []
 
 
 class TestStageOne:
@@ -155,13 +154,20 @@ class TestPreconditions:
     def test_out_of_order_batches_need_normalization(self):
         shape = LeviShape(GroupKind(Family.A, 2), (1, 1))
         with pytest.raises(NormalizationRequired):
-            check_batch_order(shape, coweight("A", (0, 1)))
-        with pytest.raises(NormalizationRequired):
             dominant_reordering(shape, coweight("A", (0, 1)))
 
     def test_single_batch_order_vacuous(self):
         shape = LeviShape(GroupKind(Family.A, 2), (2,))
-        assert check_batch_order(shape, coweight("A", (1, 0)))
+        assert dominant_reordering(shape, coweight("A", (1, 0))).result.entries == (1, 0)
+
+    def test_refused_reordering_is_reported_with_positivity(self):
+        """A lift whose batch first entries increase is reported by the
+        bundle, with its positivity failures, rather than raising."""
+        shape = LeviShape(GroupKind(Family.B, 2), (1, 1))
+        assert reordering_failures(shape, coweight("B", (-1, 0)), []) == [
+            "batch first-entry order fails for -1,0 under 1,1",
+            "entry 0 of -1,0 under 1,1 is below 0",
+        ]
 
 
 @pytest.mark.parametrize("family,sector", FAMILY_SECTORS)

@@ -30,6 +30,7 @@ ORACLE, CORE, LEVI = (f"src/coweights/{m}.py" for m in ("oracle", "core", "levi"
 HULL_SAMPLE = "tests/test_hull_sample.py"
 CARATHEODORY = "tests/test_oracle.py::TestCaratheodory"
 ROOT_DATUM = "tests/test_root_datum.py"
+BUNDLE = "tests/test_oracle.py::test_property_failures_reach_the_report"
 
 # (name, file, exact old text, replacement, pytest node IDs)
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
@@ -96,6 +97,20 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "range(-bound + (bound - size) % unit, bound + 1, unit)",
      "range(-bound, bound + 1, unit)",
      ("tests/test_oracle.py::TestSweep::test_family_d_rank2_both_sectors",)),
+    ("eta-dominance-check-dropped", ORACLE,
+     "    if not is_dominant(eta):",
+     "    if False:",
+     (f"{BUNDLE}[eta-not-dominant]",)),
+    ("order-transfer-check-dropped", ORACLE,
+     "        if leq(nu_avg, mu) and not leq(eta_avg, mu):",
+     "        if False:",
+     (f"{BUNDLE}[order-transfer]",)),
+    ("batch-order-report-dropped", ORACLE,
+     '        return [f"batch first-entry order fails for {nu} under {shape}", *failures]',
+     "        return failures",
+     (f"{BUNDLE}[batch-order-refused]",
+      "tests/test_reorder.py::TestPreconditions::"
+      "test_refused_reordering_is_reported_with_positivity")),
 ]
 
 _SKIP = shutil.ignore_patterns(
