@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from operator import le
 from typing import Sequence, Union
 
@@ -180,7 +181,7 @@ def _vec_dominant_rep(family: Family, v: Sequence[Scalar]) -> Vector:
     """
     if family is Family.A:
         return tuple(sorted(v, reverse=True))
-    mags = sorted((abs(e) for e in v), reverse=True)
+    mags = sorted(map(abs, v), reverse=True)
     if family is Family.B:
         return tuple(mags)
     negatives = sum(1 for e in v if e < 0)
@@ -291,16 +292,31 @@ def same_class_XG(x: Coweight, mu: Coweight) -> bool:
     return diff % (2 * x.sector.unit) == 0
 
 
+def _integer_target(target: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """``(den, den * target)``: each entry read exactly, an ``int`` or
+    ``Fraction`` as it is and any other as ``Fraction(e)``, and ``den``
+    the lcm of their denominators."""
+    ratios = [
+        (e if isinstance(e, (int, Fraction)) else Fraction(e)).as_integer_ratio()
+        for e in target
+    ]
+    den = lcm(*[q for _, q in ratios])
+    return den, [p * (den // q) for p, q in ratios]
+
+
 def in_hull(x: Coweight | Sequence[Scalar], mu: Coweight) -> bool:
     """Whether ``x`` lies in the convex hull of the Weyl orbit of ``mu``.
 
-    Computed by normalizing ``x`` to its dominant representative (extended
-    verbatim to rational vectors) and checking ``leq`` against ``mu``.
+    Kostant's convexity theorem: exactly when the dominant representative
+    of ``x`` is at most ``mu``.  Each entry of ``x`` is read exactly, as
+    ``Fraction(e)`` (so a float is its binary value), and the check runs
+    in integers: ``den * x`` against ``den * mu``, ``den`` the lcm of the
+    denominators (:func:`_integer_target`).
     :func:`coweights.oracle.caratheodory_in_hull` decides the same
     membership with a certificate either way, without building the orbit.
     """
     _check_dominant(mu)
-    vec = coerce_vector(x, mu)
     family = mu.kind.family
-    rep = _vec_dominant_rep(family, vec)
-    return _vec_leq(family, rep, mu.entries)
+    den, scaled = _integer_target(coerce_vector(x, mu))
+    rep = _vec_dominant_rep(family, scaled)
+    return _vec_leq(family, rep, [den * e for e in mu.entries])

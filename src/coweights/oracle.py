@@ -43,6 +43,7 @@ from .core import (
     _check_dominant,
     _check_kinds,
     _check_sector,
+    _integer_target,
     _vec_dominant_rep,
     coerce_vector,
     in_hull,
@@ -109,14 +110,6 @@ def weyl_orbit(family: Family, entries: Sequence[Scalar]) -> list[Vector]:
 # Exact hull certificates
 # ---------------------------------------------------------------------------
 
-def _integer_target(target: Sequence[Scalar]) -> tuple[int, list[int]]:
-    """``(den, den * target)``: each entry read exactly as ``Fraction(e)``,
-    and ``den`` the lcm of their denominators."""
-    exact = [Fraction(e) for e in target]
-    den = lcm(*(e.denominator for e in exact))
-    return den, [e.numerator * (den // e.denominator) for e in exact]
-
-
 def _check_combination(
     points: Sequence[Vector], target: Sequence[Scalar], weights: dict[int, Fraction]
 ) -> None:
@@ -156,7 +149,7 @@ def _normaliser(family: Family, z: Sequence[int]) -> tuple[_Element, list[int]]:
     if family is Family.A:
         perm, signs = sorted(range(n), key=z.__getitem__, reverse=True), [1] * n
     else:
-        perm = sorted(range(n), key=[abs(e) for e in z].__getitem__, reverse=True)
+        perm = sorted(range(n), key=list(map(abs, z)).__getitem__, reverse=True)
         signs = [-1 if z[i] < 0 else 1 for i in perm]
         if family is Family.D and signs.count(-1) % 2:
             signs[-1] = -signs[-1]
@@ -174,17 +167,19 @@ def _pull_back(w: _Element, r: Sequence[int]) -> list[int]:
 def _violated_row(
     family: Family, mu: Sequence[int], scale: int, z: Sequence[int]
 ) -> tuple[list[int], int] | None:
-    """``(w^-1 . r_k, k)`` for the row k of ``w . z`` (w normalising z)
-    furthest above ``scale`` times mu's, or ``None`` when no row is above
-    and ``z / scale`` is in the hull; family A's sum row counts as met."""
-    w, wz = _normaliser(family, z)
-    rows_z, rows_m = order_rows(family, wz, mu)
+    """``(w^-1 . r_k, h)`` for the row k of the dominant representative of
+    ``z`` furthest above ``scale`` times mu's, w normalising z and h mu's
+    row k, which is ``h(w^-1 . r_k)``; or ``None`` when no row is above
+    and ``z / scale`` is in the hull; family A's sum row counts as met.
+    The Weyl element w is built only for a violated row."""
+    rows_z, rows_m = order_rows(family, _vec_dominant_rep(family, z), mu)
     gaps = [a - scale * b for a, b in zip(rows_z, rows_m)]
     top = max(gaps)
     if top <= 0:
         return None
     k = gaps.index(top)
-    return _pull_back(w, _row_functionals(family, len(mu))[k]), k
+    w = _normaliser(family, z)[0]
+    return _pull_back(w, _row_functionals(family, len(mu))[k]), rows_m[k]
 
 
 def _support(family: Family, c: Sequence[int], mu: Sequence[int]) -> int:
@@ -200,23 +195,22 @@ def _exit(
     ``t = a / b``, where ``c . p = d h(c)``.
 
     Dinkelbach's iteration over the pulled-back row functionals c, with
-    rise ``b = c . step`` and room ``a = d h(c) - c . dv``: start from the
-    largest rise, the row :func:`_violated_row` finds for ``step`` at scale
-    0 (a nonzero step rises on some row); while the candidate exit point
-    violates a row, switch to the functional most violated there, whose
-    ratio must be smaller.
+    rise ``b = c . step`` and room ``a = d h(c) - c . dv``, h(c) as
+    :func:`_violated_row` gives it: start from the largest rise, the row
+    it finds for ``step`` at scale 0 (a nonzero step rises on some row);
+    while the candidate exit point violates a row, switch to the
+    functional most violated there, whose ratio must be smaller.
     """
-    heights = order_rows(family, mu, mu)[0]
-    c, k = _violated_row(family, mu, 0, step)
-    a, b = d * heights[k] - sum(map(mul, c, dv)), sum(map(mul, c, step))
+    c, h = _violated_row(family, mu, 0, step)
+    a, b = d * h - sum(map(mul, c, dv)), sum(map(mul, c, step))
     while True:
         exit_point = [b * e + a * s for e, s in zip(dv, step)]
         found = _violated_row(family, mu, b * d, exit_point)
         if found is None:
             return a, b, c
-        c, k = found
+        c, h = found
         rise = sum(map(mul, c, step))
-        room = d * heights[k] - sum(map(mul, c, dv))
+        room = d * h - sum(map(mul, c, dv))
         if rise <= 0 or room * b >= a * rise:
             raise ArithmeticError(f"the exit search from {list(dv)}/{d} stalled")
         a, b = room, rise
@@ -228,27 +222,33 @@ def _descend(
     """Points of mu's orbit and the weights of a convex combination of at
     most rank+1 of them equal to ``scaled / den``.
 
-    Carathéodory's construction in integers.  The face holding the
-    current point ``y / d`` is kept as the sum C of its exit functionals,
-    each tight on it, so ``v = w_C^-1 mu`` (w_C normalising C) is one of
-    its vertices.  Walk from v through ``y / d`` to the :func:`_exit` at
-    ``t = a / b``, give v the share ``(a - b) / a``, move to the exit
-    point and add its functional to C.  ``a >= b > 0`` puts v off the new
-    face, so a vertex is reached within rank+1 steps; an exit before
-    ``y / d`` or a longer walk raises :class:`ArithmeticError`.
+    Carathéodory's construction in integers, run on the dominant
+    representative: with w normalising ``scaled``, the walk combines
+    ``w . scaled / den`` from mu's orbit and every point is pulled back by
+    w, which keeps it in the orbit and the weights as they are.  The
+    walk starts at mu itself, so a target on the orbit is one point.  The
+    face holding the current point ``y / d`` is kept as the sum C of its
+    exit functionals, each tight on it, so ``v = w_C^-1 mu`` (w_C
+    normalising C) is one of its vertices.  Walk from v through ``y / d``
+    to the :func:`_exit` at ``t = a / b``, give v the share
+    ``(a - b) / a``, move to the exit point and add its functional to C.
+    ``a >= b > 0`` puts v off the new face, so a vertex is reached within
+    rank+1 steps; an exit before ``y / d`` or a longer walk raises
+    :class:`ArithmeticError`.
     """
-    y, d = list(scaled), den
+    w, y = _normaliser(family, scaled)
+    d = den
     total = [0] * len(mu)
     mass, whole = 1, 1  # the share left for the face: mass / whole
     points: list[Vector] = []
     weights: dict[int, Fraction] = {}
+    v = tuple(mu)
     for k in range(len(mu) + 1):
-        v = tuple(_pull_back(_normaliser(family, total)[0], mu))
         points.append(v)
         dv = [d * e for e in v]
         if y == dv:
             weights[k] = Fraction(mass, whole)
-            return points, weights
+            return [tuple(_pull_back(w, p)) for p in points], weights
         step = [p - q for p, q in zip(y, dv)]
         a, b, c = _exit(family, mu, d, dv, step)
         if a < b:
@@ -260,6 +260,7 @@ def _descend(
         g = gcd(b * d, *y)
         y, d = [e // g for e in y], b * d // g
         total = [t + e for t, e in zip(total, c)]
+        v = tuple(_pull_back(_normaliser(family, total)[0], mu))
     raise ArithmeticError(f"the descent to {list(scaled)}/{den} took over rank+1 steps")
 
 
@@ -273,7 +274,10 @@ def caratheodory_in_hull(x: Coweight | Sequence[Scalar], mu: Coweight) -> bool:
     (:func:`_support`): ±(1, ..., 1) off family A's sum hyperplane, else
     the most violated row functional, pulled back.  An inside verdict
     carries a convex combination of at most rank+1 points from
-    :func:`_descend`, each normalising to mu, with weights re-derived by
+    :func:`_descend`, which certifies the target's dominant representative
+    from mu down and pulls the points back, so a point of the orbit is
+    its own certificate.  Each point is checked to normalise to mu, and
+    the weights are re-derived against the target as given by
     :func:`_check_combination`.  A failed check raises
     :class:`ArithmeticError` rather than answer wrongly.  Nothing here
     grows with the Weyl group, so no rank or group order is refused.

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from coweights import (
-    Family, GroupKind, LeviShape, Sector, SweepConfig, cli, coweight, oracle, sweep,
+    Family, GroupKind, LeviShape, PreconditionError, Sector, SweepConfig, cli, coweight,
+    oracle, sweep,
 )
 from coweights.oracle import sweep_instances
 
@@ -547,6 +548,14 @@ def _raise_internal(*args, **kwargs):
     raise RuntimeError("unexpected")
 
 
+# the one stderr line of each patched run: a command's error ends it, an
+# instance's error is that instance's record
+_PATCHED_ERRORS = {
+    "cmd_check": "internal error: RuntimeError: unexpected\n",
+    "run_instance": "instances stopped: 1 of 1; first: RuntimeError: unexpected\n",
+}
+
+
 @pytest.mark.parametrize("argv, patched, code", [
     (["check", "--family", "B", "--mu", "2,0,0", "--x", "1,1/0,0"], None, 2),
     (["check", "--family", "B", "--mu", "", "--x", ""], None, 2),
@@ -593,11 +602,38 @@ def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys, tmp_
     out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1
     if patched:
-        assert err == "internal error: RuntimeError: unexpected\n"
+        assert err == _PATCHED_ERRORS[patched]
     else:
         assert not err.startswith("internal error: ")
     if not err.startswith("instances stopped: "):
         assert out == ""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unexpected_instance_error_is_recorded(jobs, monkeypatch, capsys):
+    """Any exception inside one instance, here a ``PreconditionError`` for
+    mu = (1, 0), becomes that instance's error record: the sweep writes
+    the other records and its summary and exits 3.  The ``--jobs`` pool's
+    workers fork from this process, so they see the patch."""
+    run_instance = cli.run_instance
+
+    def raising_at_10(shape, mu, **options):
+        if mu.entries == (1, 0):
+            raise PreconditionError("inside an instance")
+        return run_instance(shape, mu, **options)
+
+    monkeypatch.setattr(cli, "run_instance", raising_at_10)
+    argv = ["sweep", "--family", "A", "--ranks", "2", "--max-entry", "1",
+            "--jobs", str(jobs)]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    *records, summary = ndjson(out)
+    assert [r["mu"] for r in records if "error" in r] == [[1, 0], [1, 0]]
+    assert {r["error"] for r in records if "error" in r} == {
+        "PreconditionError: inside an instance"}
+    assert summary["instances"] == len(records) == 6
+    assert (summary["ok"], summary["errors"]) == (4, 2)
+    assert err == "instances stopped: 2 of 6; first: PreconditionError: inside an instance\n"
 
 
 def test_lift_shape_error_names_the_bad_size(capsys):

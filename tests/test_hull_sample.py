@@ -289,13 +289,14 @@ def test_face_descent_certificates_pinned():
 
 # SHA-256 of every seed-0 certificate of ``caratheodory_in_hull``, in the
 # same form as CERTIFICATE_DIGEST.
-ORBIT_FREE_DIGEST = "1a84d57b8980556b7627a735dcae0848fb190a3e4da409ebbc88656253105331"
+ORBIT_FREE_DIGEST = "4bbddfa830b2bd7b6187dd9cefdd188ea448d57c05306016ba9bd945e48a5c38"
 
 
 def test_orbit_free_certificates_pinned(monkeypatch):
     """The seed-0 certificates of the orbit-free descent are pinned by
     their digest, and its path by the total number of vertices it visits:
-    at most rank+1 per point, each visit one step of the walk."""
+    at most rank+1 per point, each visit one step of the walk.  The walk
+    starts at mu, so the 275 targets on the orbit take one vertex each."""
     reached = _count_descents(monkeypatch)
     too_long = []
     for mu, x in _load("probe").hull_sample(0):
@@ -305,7 +306,8 @@ def test_orbit_free_certificates_pinned(monkeypatch):
             too_long.append(x)
     assert too_long == []
     assert len(reached) == 1897
-    assert sum(len(points) for points, _ in reached) == 6999
+    assert sum(len(points) for points, _ in reached) == 5837
+    assert sum(len(points) == 1 for points, _ in reached) == 275
     lines = [
         " ".join(
             f"{','.join(map(str, point))}={w}"
@@ -315,6 +317,23 @@ def test_orbit_free_certificates_pinned(monkeypatch):
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ORBIT_FREE_DIGEST
+
+
+@pytest.mark.parametrize("family, sector, entries", [
+    ("B", "integral", (2, 1, 0)),
+    ("D", "integral", (2, 1, 1, -1)),
+    ("D", "half", (3, 1, 1, 1)),
+], ids=["B3", "D4", "D4-half"])
+def test_orbit_points_certify_themselves(monkeypatch, family, sector, entries):
+    """Every point of W·μ is certified by one point, itself: the descent
+    runs from μ to the target's dominant representative, which is μ, and
+    pulls μ back to the target."""
+    reached = _count_descents(monkeypatch)
+    mu = Coweight(GroupKind(Family(family), len(entries)), entries, Sector(sector))
+    for p in weyl_orbit(mu.kind.family, mu.entries):
+        assert caratheodory_in_hull(p, mu), p
+        points, weights = reached[-1]
+        assert (points, weights) == ([p], {0: 1}), p
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -415,13 +434,17 @@ def test_incomplete_support_raises():
     ((1, -1), (1, -1)),
     ((2, 1, -1), (2, 1, 1)),
     ((0, 0, 0), (2, 1, 1)),
-], ids=["outside-exit", "inside-rows", "outside-steps", "inside-orbit"])
+    ((-2, 0, 0), (2, 1, 1)),
+], ids=["outside-exit", "inside-rows", "outside-steps", "inside-orbit",
+        "inside-pulled-back"])
 def test_wrong_parity_normaliser_raises(monkeypatch, x, mu):
     """A family-D normaliser that flips an odd number of signs leaves the
     Weyl group; every verdict it proposes fails a re-check instead of
     being answered: a functional that does not separate, an exit before
     the point, a walk longer than rank+1 steps, or a certificate point
-    outside the orbit."""
+    outside the orbit.  For (-2, 0, 0) the walk to (2, 0, 0) is sound and
+    the odd flip that pulls it back keeps the combination exact, so only
+    the orbit check refuses it."""
     normalise = oracle._normaliser
 
     def no_parity(family, z):
@@ -502,10 +525,13 @@ A210 = coweight("A", (2, 1, 0))
     ((Decimal("0.1"), 1, Fraction(-1, 3)), coweight("D", (2, 1, 1)), True),
     ((1.0, -1.0, 1.0, Fraction(-3, 4)), coweight("D", (2, 2, 1, 1)), True),
     ((2.5, 0.5, -0.5), coweight("D", (3, 1, 1), "half"), False),
+    ((0.9, 0.0, 0.1), coweight("A", (1, 0, 0)), False),  # 0.9 + 0.1 == 1.0 only in floats
 ])
 def test_float_and_mixed_targets(x, mu, inside):
-    """Float and ``Decimal`` entries are read exactly, as ``Fraction(e)``."""
+    """Float and ``Decimal`` entries are read exactly, as ``Fraction(e)``,
+    by both oracles."""
     assert caratheodory_in_hull(x, mu) is inside
+    assert in_hull(x, mu) is inside
 
 
 def test_mixed_target_certificate():

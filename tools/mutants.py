@@ -26,7 +26,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT = 60  # seconds per mutant; each is killed in a few seconds
-ORACLE, CORE, LEVI = (f"src/coweights/{m}.py" for m in ("oracle", "core", "levi"))
+ORACLE, CORE, LEVI, CLI = (
+    f"src/coweights/{m}.py" for m in ("oracle", "core", "levi", "cli")
+)
 HULL_SAMPLE = "tests/test_hull_sample.py"
 CARATHEODORY = "tests/test_oracle.py::TestCaratheodory"
 ROOT_DATUM = "tests/test_root_datum.py"
@@ -127,6 +129,23 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "            if e == -1 and i < lo:",
      "            if False:",
      (f"{BUNDLE}[half-minus-one-early]",)),
+    ("descend-pull-back-skipped", ORACLE,
+     "            return [tuple(_pull_back(w, p)) for p in points], weights",
+     "            return points, weights",
+     (f"{HULL_SAMPLE}::test_orbit_points_certify_themselves",)),
+    ("in-hull-mu-unscaled", CORE,
+     "    return _vec_leq(family, rep, [den * e for e in mu.entries])",
+     "    return _vec_leq(family, rep, mu.entries)",
+     (f"{HULL_SAMPLE}::test_float_and_mixed_targets",)),
+    ("worker-catch-narrowed", CLI,
+     "    shape, mu = instance\n    try:\n"
+     "        return run_instance(shape, mu, check_properties=check_properties)\n"
+     "    except Exception as exc:",
+     "    from .core import MismatchError, NotDominantError, ShapeError\n"
+     "    shape, mu = instance\n    try:\n"
+     "        return run_instance(shape, mu, check_properties=check_properties)\n"
+     "    except (CapExceeded, MismatchError, NotDominantError, ShapeError) as exc:",
+     ("tests/test_cli.py::test_unexpected_instance_error_is_recorded",)),
 ]
 
 _SKIP = shutil.ignore_patterns(
