@@ -15,10 +15,11 @@ draws at most ``4 * jobs`` instances ahead of the record it writes.
 Exit codes: 0 all requested relations hold; 1 a mathematical verdict is
 false (or a reordering precondition fails); 2 usage or validation error,
 an unwritable ``--out`` included; 3 enumeration cap or any unexpected
-internal error, reported on one line; 130 interrupted (SIGINT), with one
-``interrupted:`` line counting the records written; 141 standard output
-closed by its reader, silently, as a shell reports a writer that SIGPIPE
-killed.
+internal error, reported on one line (after the traceback of an
+unexpected error inside a ``verify`` or ``sweep`` instance); 130
+interrupted (SIGINT), with one ``interrupted:`` line counting the records
+written; 141 standard output closed by its reader, silently, as a shell
+reports a writer that SIGPIPE killed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import json
 import os
 import signal
 import sys
+import traceback
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
@@ -400,11 +402,15 @@ def _verify_worker(
     instance: tuple[LeviShape, Coweight], check_properties: bool
 ) -> VerificationReport | dict[str, Any]:
     """One instance's report, or the record of the error that stopped it:
-    any exception, so that one instance cannot end the run."""
+    any exception, so that one instance cannot end the run.  An exception
+    other than :class:`CapExceeded` is unexpected, so its traceback goes
+    to standard error; the record keeps one ``Type: message`` line."""
     shape, mu = instance
     try:
         return run_instance(shape, mu, check_properties=check_properties)
     except Exception as exc:
+        if not isinstance(exc, CapExceeded):
+            print(traceback.format_exc(), end="", file=sys.stderr, flush=True)
         return {**_instance_json(shape, mu), "error": f"{type(exc).__name__}: {exc}"}
 
 

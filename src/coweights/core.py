@@ -267,13 +267,17 @@ def leq(x: Coweight | Sequence[Scalar], mu: Coweight) -> bool:
     """The dominance-order inequalities ``x <= mu``.
 
     ``mu`` must be dominant.  ``x`` may be a coweight or a raw vector of
-    exact rationals (batch averages are rational, so the order must accept
-    them).  This is the real half-space condition only; the lattice-class
-    condition is :func:`same_class_XG`.
+    rationals (batch averages are rational, so the order must accept
+    them).  Each entry is read exactly, as ``Fraction(e)`` (so a float is
+    its binary value), and the rows are compared in integers: ``den * x``
+    against ``den * mu`` (:func:`_integer_target`), as :func:`in_hull`
+    does without the dominant representative.  This is the real
+    half-space condition only; the lattice-class condition is
+    :func:`same_class_XG`.
     """
     _check_dominant(mu)
-    vec = coerce_vector(x, mu)
-    return _vec_leq(mu.kind.family, vec, mu.entries)
+    den, scaled = _integer_target(coerce_vector(x, mu))
+    return _vec_leq(mu.kind.family, scaled, [den * e for e in mu.entries])
 
 
 def same_class_XG(x: Coweight, mu: Coweight) -> bool:

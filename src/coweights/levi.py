@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Iterator, Sequence
 
 from .core import (
@@ -30,6 +31,7 @@ from .core import (
     _check_dominant,
     _check_kinds,
     _check_sector,
+    _integer_target,
     order_rows,
     vec_is_dominant,
 )
@@ -153,6 +155,15 @@ class XMClass:
         return self.canonical_lift.entries
 
 
+def _batch_constant(shape: LeviShape, values: Sequence[int]) -> list[int]:
+    """One integer per GL batch, repeated over its batch, then zeros on the
+    orthogonal batch: :meth:`LeviPoint.expand` in integers."""
+    out: list[int] = []
+    for value, size in zip(values, shape.gl_sizes):
+        out += [value] * size
+    return out + [0] * shape.so_rank
+
+
 def project(shape: LeviShape, x: Coweight) -> LeviPoint:
     """Batch averages of ``x``; the orthogonal batch contributes zero.
 
@@ -169,8 +180,19 @@ def project(shape: LeviShape, x: Coweight) -> LeviPoint:
 
 
 def has_dominant_projection(shape: LeviShape, x: Coweight) -> bool:
-    """Whether the batch averages of ``x`` lie in the dominant chamber."""
-    return vec_is_dominant(shape.kind.family, project(shape, x).expand())
+    """Whether the batch averages of ``x`` lie in the dominant chamber.
+
+    Decided in integers: batch k's sum times ``lcm(gl_sizes) // n_k`` is
+    its average times ``lcm(gl_sizes)``, and scaling by a positive number
+    keeps every inequality of the chamber.
+    """
+    _check_kinds(shape.kind, x.kind)
+    scale = lcm(*shape.gl_sizes)
+    scaled = [
+        sum(x.entries[sl]) * (scale // size)
+        for sl, size in zip(shape.gl_slices, shape.gl_sizes)
+    ]
+    return vec_is_dominant(shape.kind.family, _batch_constant(shape, scaled))
 
 
 def is_M_dominant(shape: LeviShape, x: Coweight) -> bool:
@@ -320,16 +342,22 @@ def leq_batch_ends(beta: LeviPoint, mu: Coweight) -> bool:
     r = 0): beta vanishes on that batch, so S_n(beta) = S_{n-j}(beta), while
     S_n(mu) >= S_{n-j}(mu) because the last j >= 2 entries of a dominant
     ``mu`` sum to at least mu_{n-1} + mu_n >= 0.
+
+    The averages are read once as integers, ``den * beta.averages``
+    (:func:`coweights.core._integer_target`), and the rows compared
+    against ``den * mu``.
     """
     shape = beta.shape
     _check_kinds(shape.kind, mu.kind)
     _check_dominant(mu)
 
-    rows_b, rows_m = order_rows(shape.kind.family, beta.expand(), mu.entries)
+    den, scaled = _integer_target(beta.averages)
+    vec = _batch_constant(shape, scaled)
+    rows_b, rows_m = order_rows(shape.kind.family, vec, [den * e for e in mu.entries])
     if shape.kind.family is Family.A and rows_b[-1] != rows_m[-1]:
         raise PreconditionError(
             "family A requires equal total sums (coroot span): "
-            f"{rows_b[-1]} vs {rows_m[-1]}"
+            f"{Fraction(rows_b[-1], den)} vs {Fraction(rows_m[-1], den)}"
         )
     return all(rows_b[end - 1] <= rows_m[end - 1] for end in accumulate(shape.gl_sizes))
 

@@ -1,16 +1,24 @@
-"""Shared test helpers: the grids of the exhaustive sweeps, and the
-literal subset search over the explicit Weyl orbit, the reference that
-``caratheodory_in_hull`` is checked against."""
+"""Shared test helpers: the grids of the exhaustive sweeps; the literal
+subset search over the explicit Weyl orbit, the reference that
+``caratheodory_in_hull`` is checked against; and the order kernels in
+``Fraction`` arithmetic, the references that the integer ``leq``,
+``leq_batch_ends`` and ``has_dominant_projection`` are checked against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import factorial
 from typing import Sequence
 
-from coweights import CapExceeded, Coweight, Family, GroupKind, NotDominantError, Sector
-from coweights.core import Scalar, Vector, coerce_vector, is_dominant
+from coweights import (
+    CapExceeded, Coweight, Family, GroupKind, NotDominantError, PreconditionError, Sector,
+)
+from coweights.core import (
+    Scalar, Vector, _check_dominant, _check_kinds, _vec_leq, coerce_vector, is_dominant,
+    order_rows, vec_is_dominant,
+)
+from coweights.levi import LeviPoint, LeviShape, project
 from coweights.oracle import weyl_orbit
 
 # every (family, sector) combination the package supports
@@ -122,3 +130,56 @@ def convex_combination_bruteforce(
             if weights is not None and all(w >= 0 for w in weights):
                 return {c: w for c, w in zip(chosen, weights) if w}
     return None
+
+
+# The order kernels as they were before they compared in integers, kept
+# unedited but for their names: each sums ``Fraction`` entries directly.
+
+def fraction_leq(x: Coweight | Sequence[Scalar], mu: Coweight) -> bool:
+    """The dominance-order inequalities ``x <= mu``.
+
+    ``mu`` must be dominant.  ``x`` may be a coweight or a raw vector of
+    exact rationals (batch averages are rational, so the order must accept
+    them).  This is the real half-space condition only; the lattice-class
+    condition is :func:`same_class_XG`.
+    """
+    _check_dominant(mu)
+    vec = coerce_vector(x, mu)
+    return _vec_leq(mu.kind.family, vec, mu.entries)
+
+
+def fraction_has_dominant_projection(shape: LeviShape, x: Coweight) -> bool:
+    """Whether the batch averages of ``x`` lie in the dominant chamber."""
+    return vec_is_dominant(shape.kind.family, project(shape, x).expand())
+
+
+def fraction_leq_batch_ends(beta: LeviPoint, mu: Coweight) -> bool:
+    """The dominance inequalities restricted to batch-end positions.
+
+    For a vector constant on the batches of ``beta.shape`` (zero on the
+    orthogonal batch) whose difference from ``mu`` lies in the coroot span,
+    checking the order relation only at the end of each batch is equivalent
+    to the full check: the remaining inequalities pair against weights
+    fixed by the Levi.
+
+    One rule for every family: the rows of :func:`coweights.core.order_rows`
+    at the GL batch ends n_1, n_1 + n_2, ..., n - j.  Family A first
+    requires equal total sums (the coroot span).  In family D a batch
+    ending at n-1 is checked on the spin row S_{n-1} - x_n.  The total row
+    S_n is no batch end when the orthogonal factor has rank j >= 2, and it
+    follows from the row at the last end n-j (or is 0 <= S_n(mu) when
+    r = 0): beta vanishes on that batch, so S_n(beta) = S_{n-j}(beta), while
+    S_n(mu) >= S_{n-j}(mu) because the last j >= 2 entries of a dominant
+    ``mu`` sum to at least mu_{n-1} + mu_n >= 0.
+    """
+    shape = beta.shape
+    _check_kinds(shape.kind, mu.kind)
+    _check_dominant(mu)
+
+    rows_b, rows_m = order_rows(shape.kind.family, beta.expand(), mu.entries)
+    if shape.kind.family is Family.A and rows_b[-1] != rows_m[-1]:
+        raise PreconditionError(
+            "family A requires equal total sums (coroot span): "
+            f"{rows_b[-1]} vs {rows_m[-1]}"
+        )
+    return all(rows_b[end - 1] <= rows_m[end - 1] for end in accumulate(shape.gl_sizes))

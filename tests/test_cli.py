@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from coweights import (
-    Family, GroupKind, LeviShape, PreconditionError, Sector, SweepConfig, cli, coweight,
-    oracle, sweep,
+    CapExceeded, Family, GroupKind, LeviShape, PreconditionError, Sector, SweepConfig, cli,
+    coweight, oracle, sweep,
 )
 from coweights.oracle import sweep_instances
 
@@ -593,13 +593,18 @@ def test_hostile_input_exit_codes(argv, patched, code, monkeypatch, capsys, tmp_
     """Every input ends in a contract exit code with a one-line message; an
     input refused before its first instance writes nothing to stdout (the
     A9 grid is refused before any A2 instance runs).  Only a patched
-    function raises an internal error.  ``{tmp}`` in an argument stands
-    for a fresh directory."""
+    function raises an internal error; inside an instance, its traceback
+    comes before the line.  ``{tmp}`` in an argument stands for a fresh
+    directory."""
     if patched:
         monkeypatch.setattr(cli, patched, _raise_internal)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
+    if patched == "run_instance":
+        *trace, err = err.splitlines(keepends=True)
+        assert trace[0] == "Traceback (most recent call last):\n", trace
+        assert trace[-1] == "RuntimeError: unexpected\n", trace
     assert len(err.splitlines()) == 1
     if patched:
         assert err == _PATCHED_ERRORS[patched]
@@ -633,7 +638,47 @@ def test_unexpected_instance_error_is_recorded(jobs, monkeypatch, capsys):
         "PreconditionError: inside an instance"}
     assert summary["instances"] == len(records) == 6
     assert (summary["ok"], summary["errors"]) == (4, 2)
-    assert err == "instances stopped: 2 of 6; first: PreconditionError: inside an instance\n"
+    assert err.splitlines()[-1] == (
+        "instances stopped: 2 of 6; first: PreconditionError: inside an instance")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unexpected_instance_error_prints_its_traceback(jobs, monkeypatch, capfd):
+    """An unexpected exception inside an instance writes its traceback to
+    standard error, from the worker process under ``--jobs 2`` (``capfd``
+    reads the file descriptor the forked workers share).  A cap is
+    expected and writes none; the records differ only in the error's
+    type, so the traceback adds nothing to standard output."""
+    run_instance = cli.run_instance
+
+    def raising_at_10(shape, mu, **options):
+        if mu.entries == (1, 0):
+            raise PreconditionError("inside an instance")
+        return run_instance(shape, mu, **options)
+
+    argv = ["sweep", "--family", "A", "--ranks", "2", "--max-entry", "1",
+            "--jobs", str(jobs)]
+    monkeypatch.setattr(cli, "run_instance", raising_at_10)
+    assert cli.main(argv) == 3
+    out, err = capfd.readouterr()
+    traces = err.split("Traceback (most recent call last):\n")
+    assert traces[0] == "" and len(traces) == 3, err
+    for trace in traces[1:]:
+        assert 'in raising_at_10\n    raise PreconditionError("inside an instance")\n' in trace
+        assert "coweights.core.PreconditionError: inside an instance\n" in trace
+    assert traces[-1].endswith(
+        "\ninstances stopped: 2 of 6; first: PreconditionError: inside an instance\n")
+
+    def capped(shape, mu, **options):
+        if mu.entries == (1, 0):
+            raise CapExceeded("inside an instance")
+        return run_instance(shape, mu, **options)
+
+    monkeypatch.setattr(cli, "run_instance", capped)
+    assert cli.main(argv) == 3
+    capped_out, err = capfd.readouterr()
+    assert err == "instances stopped: 2 of 6; first: CapExceeded: inside an instance\n"
+    assert capped_out.replace("CapExceeded: ", "PreconditionError: ") == out
 
 
 def test_lift_shape_error_names_the_bad_size(capsys):

@@ -31,6 +31,7 @@ from coweights import (
     verify_main_theorem,
     weyl_orbit_equivalent,
 )
+from coweights.levi import has_dominant_projection
 from coweights.oracle import caratheodory_in_hull, enumerate_Pmu, weyl_orbit
 
 
@@ -318,6 +319,7 @@ def test_kind_mismatch_has_one_message():
         lambda: same_class_XG(a, b),
         lambda: class_of(_A2, b),
         lambda: project(_A2, b),
+        lambda: has_dominant_projection(_A2, b),
         lambda: is_M_dominant(_A2, b),
         lambda: is_M_minuscule(_A2, b),
         lambda: leq_batch_ends(LeviPoint(_A2, (1, 0)), b),

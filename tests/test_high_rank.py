@@ -2,20 +2,30 @@
 
 Hypothesis draws the cases with ``derandomize=True``, so every run checks
 the same examples: the oracle against the prefix-sum hull test, the class
-map against the Levi's Weyl group W_M, and canonical lifts against the
-class map and the reordering's postconditions.
+map against the Levi's Weyl group W_M, canonical lifts against the class
+map and the reordering's postconditions, and the integer order kernels
+against their ``Fraction`` references.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_SECTORS, entry_values
+from conftest import (
+    FAMILY_SECTORS,
+    entry_values,
+    fraction_has_dominant_projection,
+    fraction_leq,
+    fraction_leq_batch_ends,
+)
 from coweights import (
     Family,
     GroupKind,
+    LeviPoint,
+    PreconditionError,
     Sector,
     all_shapes,
     caratheodory_in_hull,
@@ -23,6 +33,8 @@ from coweights import (
     coweight,
     dominant_representative,
     in_hull,
+    leq,
+    leq_batch_ends,
     minuscule_lift,
 )
 from coweights.levi import has_dominant_projection, so_classes
@@ -136,3 +148,56 @@ def test_lifts_are_canonical_and_reorder_at_high_rank(family_sector, rank, data)
         nu = lift([max(level, 0) for level in levels], [0] * r)
     assert has_dominant_projection(shape, nu), (shape, nu)
     assert reordering_failures(shape, nu, [dominant_representative(nu)]) == [], (shape, nu)
+
+
+# rationals with small denominators, in the range of the mu entries drawn below
+RATIONALS = st.fractions(-5, 5, max_denominator=6)
+
+
+@SETTINGS
+@given(st.sampled_from(FAMILY_SECTORS), st.integers(5, 10), st.data())
+def test_batch_end_order_matches_fraction_reference_at_high_rank(
+    family_sector, rank, data
+):
+    """``leq_batch_ends`` and ``leq`` give their ``Fraction`` references'
+    verdicts on a random rational batch-constant point, or raise the same
+    ``PreconditionError`` text in family A, whose last average is at times
+    filled so that the totals agree."""
+    family, sector = family_sector
+    shape = data.draw(st.sampled_from(_shapes(family, rank)))
+    mu = dominant_representative(coweight(family, _entries(data, sector, rank, 5), sector))
+    r = shape.num_gl_batches
+    averages = data.draw(st.lists(RATIONALS, min_size=r, max_size=r))
+    if family is Family.A and data.draw(st.booleans()):
+        used = sum(a * s for a, s in zip(averages, shape.gl_sizes[:-1]))
+        averages[-1] = (sum(mu.entries) - used) / shape.gl_sizes[-1]
+    beta = LeviPoint(shape, averages)
+    x = beta.expand()
+    assert leq(x, mu) == fraction_leq(x, mu), (x, mu)
+    try:
+        expected = fraction_leq_batch_ends(beta, mu)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as caught:
+            leq_batch_ends(beta, mu)
+        assert str(caught.value) == str(exc)
+    else:
+        assert leq_batch_ends(beta, mu) == expected, (beta, mu)
+
+
+@SETTINGS
+@given(st.sampled_from(FAMILY_SECTORS), st.integers(5, 10), st.data())
+def test_order_and_projection_match_fraction_references_at_high_rank(
+    family_sector, rank, data
+):
+    """``leq`` gives its ``Fraction`` reference's verdict on an arbitrary
+    rational point and on a coweight, and ``has_dominant_projection`` its
+    reference's on that coweight under a random shape."""
+    family, sector = family_sector
+    mu = dominant_representative(coweight(family, _entries(data, sector, rank, 5), sector))
+    x = data.draw(st.lists(RATIONALS, min_size=rank, max_size=rank))
+    assert leq(x, mu) == fraction_leq(x, mu), (x, mu)
+    y = coweight(family, _entries(data, sector, rank, 5), sector)
+    assert leq(y, mu) == fraction_leq(y, mu), (y, mu)
+    shape = data.draw(st.sampled_from(_shapes(family, rank)))
+    assert has_dominant_projection(shape, y) == fraction_has_dominant_projection(shape, y), (
+        shape, y)

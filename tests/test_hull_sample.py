@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from coweights import (
-    Coweight, Family, GroupKind, Sector, caratheodory_in_hull, coweight, in_hull,
+    Coweight, Family, GroupKind, Sector, caratheodory_in_hull, coweight, in_hull, leq,
     oracle,
 )
 from coweights.oracle import _check_combination, _integer_target, weyl_orbit
@@ -529,9 +529,12 @@ A210 = coweight("A", (2, 1, 0))
 ])
 def test_float_and_mixed_targets(x, mu, inside):
     """Float and ``Decimal`` entries are read exactly, as ``Fraction(e)``,
-    by both oracles."""
+    by both oracles and by the order ``leq``, which on these rows agrees
+    with the hull: (0.9, 0, 0.1) is not below (1, 0, 0), since
+    0.9 + 0.1 is 1 only in floats."""
     assert caratheodory_in_hull(x, mu) is inside
     assert in_hull(x, mu) is inside
+    assert leq(x, mu) is inside
 
 
 def test_mixed_target_certificate():

@@ -5,7 +5,14 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import FAMILY_SECTORS, box_coweights, ranks_for
+from conftest import (
+    FAMILY_SECTORS,
+    box_coweights,
+    fraction_has_dominant_projection,
+    fraction_leq,
+    fraction_leq_batch_ends,
+    ranks_for,
+)
 from coweights import (
     Family,
     GroupKind,
@@ -18,14 +25,24 @@ from coweights import (
     class_of,
     compositions,
     coweight,
+    dominant_reordering,
     is_M_dominant,
     is_M_minuscule,
+    leq,
     leq_batch_ends,
     minuscule_lift,
     project,
     same_class_XG,
 )
-from coweights.oracle import batch_end_agreement, dominant_coweights, weyl_orbit
+from coweights.levi import has_dominant_projection
+from coweights.oracle import (
+    _beta_grid,
+    _radius,
+    batch_end_agreement,
+    dominant_coweights,
+    valid_lifts,
+    weyl_orbit,
+)
 
 
 def _kind(family, rank):
@@ -148,6 +165,25 @@ class TestPredicates:
         assert is_M_minuscule(shape, coweight("B", (2, 0, 1)))  # orbit form
         assert not is_M_dominant(shape, coweight("B", (2, 0, 1)))
         assert not is_M_minuscule(shape, coweight("B", (2, 1, 1)))
+
+
+class TestHasDominantProjection:
+    def test_averages_decide_not_sums(self):
+        """Batch sums 1 and 2 rise, but both batches of (1, 2, 0) average 1."""
+        shape = LeviShape(_kind(Family.A, 3), (1, 2))
+        assert has_dominant_projection(shape, coweight("A", (1, 2, 0)))
+        assert not has_dominant_projection(shape, coweight("A", (1, 3, 0)))
+
+    def test_orthogonal_batch_counts_as_zero(self):
+        shape = LeviShape(_kind(Family.B, 3), (1,), 2)
+        assert has_dominant_projection(shape, coweight("B", (0, 2, -1)))
+        assert not has_dominant_projection(shape, coweight("B", (-1, 0, 0)))
+
+    def test_family_d_spin_rule(self):
+        """D3 under (1, 2): the averages (1, -1, -1) break v_2 + v_3 >= 0."""
+        shape = LeviShape(_kind(Family.D, 3), (1, 2))
+        assert not has_dominant_projection(shape, coweight("D", (1, -1, -1)))
+        assert has_dominant_projection(shape, coweight("D", (1, 1, -1)))
 
 
 class TestMinusculeLift:
@@ -291,6 +327,22 @@ class TestLeqBatchEnds:
         with pytest.raises(PreconditionError, match="total sums"):
             leq_batch_ends(beta, coweight("A", (1, 0)))
 
+    @pytest.mark.parametrize("averages, totals", [
+        ((Fraction(1, 2), 0), "1/2 vs 1"),
+        ((Fraction(3, 2), Fraction(1, 2)), "2 vs 1"),
+        ((Fraction(-1, 3), Fraction(1, 6)), "-1/6 vs 1"),
+    ])
+    def test_family_a_precondition_text(self, averages, totals):
+        """The totals are printed as the rationals they are, as the
+        ``Fraction`` reference prints them."""
+        beta = LeviPoint(LeviShape(_kind(Family.A, 2), (1, 1)), averages)
+        mu = coweight("A", (1, 0))
+        message = f"family A requires equal total sums (coroot span): {totals}"
+        for kernel in (leq_batch_ends, fraction_leq_batch_ends):
+            with pytest.raises(PreconditionError) as caught:
+                kernel(beta, mu)
+            assert str(caught.value) == message
+
     def test_pure_orthogonal_shape_trivially_true(self):
         shape = LeviShape(_kind(Family.D, 2), (), 2)
         beta = LeviPoint(shape, ())
@@ -308,3 +360,63 @@ class TestLeqBatchEnds:
                     assert not failures, failures[:3]
                     checked += count
         assert checked > 1000
+
+
+# criterion 3's grid (tests/test_acceptance.py): family, sector, ranks, bound
+_CRITERION_3_GRID = [
+    (Family.A, Sector.INTEGRAL, (1, 2, 3, 4), 3),
+    (Family.B, Sector.INTEGRAL, (1, 2, 3), 2),
+    (Family.D, Sector.INTEGRAL, (2, 3, 4), 2),
+    (Family.D, Sector.HALF, (2, 3, 4), 3),
+]
+
+
+@pytest.mark.parametrize("family, sector, ranks, bound", _CRITERION_3_GRID,
+                         ids=["A", "B", "D-integral", "D-half"])
+def test_order_kernels_match_fraction_references_on_criterion_3_grid(
+    family, sector, ranks, bound
+):
+    """The integer ``leq_batch_ends`` and ``leq`` give the verdicts of their
+    ``Fraction`` references at every beta point of criterion 3's grid."""
+    checked = 0
+    for rank in ranks:
+        kind = _kind(family, rank)
+        for shape in all_shapes(kind):
+            for mu in dominant_coweights(kind, sector, bound):
+                for beta in _beta_grid(shape, mu):
+                    x = beta.expand()
+                    assert leq_batch_ends(beta, mu) == fraction_leq_batch_ends(beta, mu), (
+                        beta, mu)
+                    assert leq(x, mu) == fraction_leq(x, mu), (x, mu)
+                    checked += 1
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("family, sector, max_entry", [
+    (Family.B, Sector.INTEGRAL, 2),
+    (Family.D, Sector.INTEGRAL, 2),
+    (Family.D, Sector.HALF, 3),
+], ids=["B4", "D4-integral", "D4-half"])
+def test_order_kernels_match_fraction_references_on_lift_boxes(family, sector, max_entry):
+    """On the property bundle's lift boxes at rank 4 (radius + 1 over the
+    mu grid; the largest box holds the others), ``has_dominant_projection``
+    gives its reference's verdict on every lift, and ``leq`` its
+    reference's on the projections of every kept lift and of its
+    reordering, against every mu of the grid."""
+    kind = _kind(family, 4)
+    mus = dominant_coweights(kind, sector, max_entry)
+    bound = max(_radius(mu) for mu in mus) + 1
+    kept = 0
+    for shape in all_shapes(kind):
+        for nu in valid_lifts(shape, sector, bound):
+            dominant = has_dominant_projection(shape, nu)
+            assert dominant == fraction_has_dominant_projection(shape, nu), (shape, nu)
+            if not dominant:
+                continue
+            kept += 1
+            eta = dominant_reordering(shape, nu)
+            for avg in (project(shape, nu).expand(),
+                        project(eta.coarse_shape, eta.result).expand()):
+                for mu in mus:
+                    assert leq(avg, mu) == fraction_leq(avg, mu), (avg, mu)
+    assert kept > 100

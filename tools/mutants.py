@@ -137,6 +137,18 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "    return _vec_leq(family, rep, [den * e for e in mu.entries])",
      "    return _vec_leq(family, rep, mu.entries)",
      (f"{HULL_SAMPLE}::test_float_and_mixed_targets",)),
+    ("leq-mu-unscaled", CORE,
+     "    return _vec_leq(mu.kind.family, scaled, [den * e for e in mu.entries])",
+     "    return _vec_leq(mu.kind.family, scaled, mu.entries)",
+     (f"{HULL_SAMPLE}::test_float_and_mixed_targets",)),
+    ("batch-ends-mu-unscaled", LEVI,
+     "order_rows(shape.kind.family, vec, [den * e for e in mu.entries])",
+     "order_rows(shape.kind.family, vec, mu.entries)",
+     ("tests/test_levi.py::TestLeqBatchEnds::test_family_a_precondition_text",)),
+    ("projection-batch-factor-dropped", LEVI,
+     "sum(x.entries[sl]) * (scale // size)",
+     "sum(x.entries[sl])",
+     ("tests/test_levi.py::TestHasDominantProjection::test_averages_decide_not_sums",)),
     ("worker-catch-narrowed", CLI,
      "    shape, mu = instance\n    try:\n"
      "        return run_instance(shape, mu, check_properties=check_properties)\n"
